@@ -12,8 +12,9 @@ Three notions of a quaternion polynomial, each with its own module:
   root-form evaluation, the real-pole N-body kernel).
 
 `expr` parses and expands quaternion expressions and provides the
-randomized linear-time zero test; `complexpoly` holds the classical
-commutative FFT toolkit; `cli` is the command-line front end.
+randomized linear-time zero test; `complexpoly` holds the commutative
+kernels (FFT, complex multipoint evaluation, Cauchy sums) the fast paths
+share; `cli` is the command-line front end.
 """
 
 from .quaternion import (

@@ -1,19 +1,23 @@
 """Dense univariate polynomial kernels over the complex numbers.
 
-Commutative support machinery used by every fast algorithm in the library:
-an iterative radix-2 FFT, FFT-based multiplication, division with
-remainder, subproduct trees, and fast multipoint evaluation.
+Commutative support machinery for the quaternion modules: an iterative
+radix-2 FFT, fast multipoint evaluation, and Cauchy sums
+sum_k w_k / (y - s_k) over real sources.
 
 Multipoint evaluation works in value space rather than coefficient space:
 the polynomial is sampled on an oversampled set of roots of unity with one
 FFT and then carried to the requested points through the barycentric
-Lagrange form, a Cauchy-kernel sum over the circle nodes.  The sum is
-evaluated directly for small problems and through a multipole hierarchy on
-circle arcs for large ones; points outside the unit disk go through the
-reversed polynomial at their inverses.  Remainder cascades over subproduct
-trees - the textbook route - amplify rounding by the coefficient norm of
-the node polynomials, which grows exponentially for points confined to the
-upper half-plane, so they are not used for evaluation here.
+Lagrange form, a Cauchy-kernel sum over the circle nodes.  Points outside
+the unit disk go through the reversed polynomial at their inverses.
+Remainder cascades over subproduct trees - the textbook route - amplify
+rounding by the coefficient norm of the node polynomials, which grows
+exponentially for points confined to the upper half-plane, so they are not
+used here.
+
+Both Cauchy sums, over circle nodes and over real sources, are evaluated
+directly for small problems and through one multipole hierarchy for large
+ones: sources sorted along a curve parameter, bisected into bins, with the
+circle as the periodic case and the real segment as the open one.
 
 All heavy routines accept batches: a ``(rows, n)`` coefficient matrix is
 processed with transforms along the last axis, which is how the quaternion
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisorZero, NonPowerOfTwoLength
+from .errors import NonPowerOfTwoLength
 
 #: below this many points (or this degree) multipoint evaluation uses Horner
 DEFAULT_CROSSOVER = 32
@@ -33,9 +37,9 @@ DEFAULT_CROSSOVER = 32
 #: dense Cauchy summation while n_points * n_nodes stays below this
 _DENSE_LIMIT = 1 << 19
 
-#: sources per leaf arc and top fan-out of the multipole hierarchy
+#: sources per leaf bin and top fan-out of the multipole hierarchy
 _LEAF_SOURCES = 128
-_MIN_ARCS = 16
+_TOP_BINS = 16
 
 #: multipole truncation order (separation ratio <= ~1/3)
 _MP_TERMS = 20
@@ -133,68 +137,9 @@ class CPoly:
         return f"CPoly({self.coeffs.tolist()!r})"
 
 
-def cmul(p: CPoly, q: CPoly) -> CPoly:
-    """Product of two polynomials via zero-padded FFT convolution."""
-    a, b = p.coeffs, q.coeffs
-    if len(a) == 0 or len(b) == 0:
-        return CPoly()
-    return CPoly(_conv_rows(a[None, :], b)[0])
-
-
-def _conv_rows(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution of each row of `rows` with the vector `b`."""
-    la, lb = rows.shape[-1], len(b)
-    out_len = la + lb - 1
-    size = _next_pow2(out_len)
-    fa = fft(_pad_last(rows, size))
-    fb = fft(_pad_last(b, size))
-    return fft(fa * fb, inverse=True)[..., :out_len]
-
-
 def _pad_last(a: np.ndarray, size: int) -> np.ndarray:
     pad = [(0, 0)] * (a.ndim - 1) + [(0, size - a.shape[-1])]
     return np.pad(a, pad)
-
-
-def derivative(p: CPoly) -> CPoly:
-    """Formal coefficient derivative."""
-    n = len(p.coeffs)
-    if n <= 1:
-        return CPoly()
-    return CPoly(p.coeffs[1:] * np.arange(1, n))
-
-
-def div_rem(p: CPoly, d: CPoly) -> tuple[CPoly, CPoly]:
-    """Quotient and remainder with p = q*d + r and deg r < deg d."""
-    if len(d.coeffs) == 0:
-        raise DivisorZero("division by the zero polynomial")
-    if p.degree < d.degree:
-        return CPoly(), CPoly(p.coeffs)
-    q, r = _div_rem_rows(p.coeffs[None, :], d.coeffs)
-    return CPoly(q[0]), CPoly(r[0])
-
-
-def _div_rem_rows(rows: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise long division of a (k, n) coefficient matrix by the vector d.
-
-    Assumes n >= len d.  Returns quotient (k, n - len d + 1) and remainder
-    (k, len d - 1).  Plain long division, vectorized across rows: the
-    Newton/middle-product shortcuts route everything through the inverse
-    series of the reversed divisor, whose coefficients explode for roots
-    inside the unit disk - the divisor shape subproduct trees produce.
-    """
-    b = len(d) - 1
-    m = rows.shape[-1] - 1 - b  # quotient degree
-    if b == 0:
-        return rows / d[0], rows[..., :0]
-    r = rows.astype(np.complex128, copy=True)
-    q = np.empty(rows.shape[:-1] + (m + 1,), dtype=np.complex128)
-    lead = d[b]
-    for t in range(m, -1, -1):
-        c = r[..., t + b] / lead
-        q[..., t] = c
-        r[..., t:t + b] -= c[..., None] * d[:b]
-    return q, r[..., :b]
 
 
 def _horner_rows(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -204,62 +149,6 @@ def _horner_rows(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
     for col in range(rows.shape[-1] - 1, -1, -1):
         vals = vals * pts + rows[..., col, None]
     return vals
-
-
-# -- subproduct trees ---------------------------------------------------------
-
-class _TreeNode:
-    __slots__ = ("poly", "lo", "hi", "left", "right")
-
-    def __init__(self, poly, lo, hi, left=None, right=None):
-        self.poly = poly
-        self.lo = lo
-        self.hi = hi
-        self.left = left
-        self.right = right
-
-
-class SubproductTree:
-    """Balanced tree of products prod(Z - x) over point ranges.
-
-    Leaves hold up to `leaf_size` points; the root polynomial is the
-    product over all points.
-    """
-
-    def __init__(self, pts, leaf_size: int = DEFAULT_CROSSOVER):
-        self.points = np.atleast_1d(np.asarray(pts, dtype=np.complex128))
-        self.leaf_size = max(1, leaf_size)
-        if self.points.size == 0:
-            self._root = _TreeNode(np.ones(1, dtype=np.complex128), 0, 0)
-        else:
-            self._root = self._build(0, self.points.size)
-
-    def _build(self, lo, hi):
-        if hi - lo <= self.leaf_size:
-            return _TreeNode(_poly_from_roots(self.points[lo:hi]), lo, hi)
-        mid = (lo + hi) // 2
-        left = self._build(lo, mid)
-        right = self._build(mid, hi)
-        prod = _conv_rows(left.poly[None, :], right.poly)[0]
-        return _TreeNode(prod, lo, hi, left, right)
-
-    @property
-    def root(self) -> CPoly:
-        return CPoly(self._root.poly)
-
-
-def _poly_from_roots(roots: np.ndarray) -> np.ndarray:
-    out = np.ones(1, dtype=np.complex128)
-    for r in roots:
-        nxt = np.zeros(len(out) + 1, dtype=np.complex128)
-        nxt[1:] = out
-        nxt[:-1] -= r * out
-        out = nxt
-    return out
-
-
-def subproduct_build(pts, leaf_size: int = DEFAULT_CROSSOVER) -> SubproductTree:
-    return SubproductTree(pts, leaf_size)
 
 
 # -- fast multipoint evaluation ----------------------------------------------
@@ -351,7 +240,7 @@ def _cauchy_sum(weights: np.ndarray, nodes: np.ndarray, ys: np.ndarray) -> np.nd
     """sum_k weights[..., k] / (y - nodes[k]) for targets in the annulus."""
     N = nodes.shape[0]
     t = ys.shape[0]
-    if t * N <= _DENSE_LIMIT or N // _LEAF_SOURCES < _MIN_ARCS:
+    if t * N <= _DENSE_LIMIT or N // _LEAF_SOURCES < _TOP_BINS:
         return _cauchy_dense(weights, nodes, ys)
     return _cauchy_multipole(weights, nodes, ys)
 
@@ -367,98 +256,13 @@ def _cauchy_dense(weights, nodes, ys):
 
 
 def _cauchy_multipole(weights, nodes, ys):
-    """Arc-hierarchy evaluation of the Cauchy sum.
-
-    Sources are uniform circle nodes, split into 2^l arcs per level; a
-    target interacts with an arc through its truncated multipole expansion
-    once the arc is outside the target's immediate angular neighbourhood
-    (separation ratio stays below ~1/3 for |y| in [1/2, 1]), and directly
-    with the sources of the three leaf arcs around it.
-
-    Expansion tables are laid out (arc, term, row) so that per-target
-    gathers copy one contiguous block per arc and the Horner sweep reads
-    sequentially.
-    """
+    """Circle case of the hierarchy: the sources are the roots of unity
+    nodes[k] = exp(-2 pi i k / N), at curve parameter k / N."""
     N = nodes.shape[0]
-    rows_shape = weights.shape[:-1]
-    w_flat = weights.reshape(-1, N)
-    n_rows = w_flat.shape[0]
-    n_targets = ys.shape[0]
-    n_leaf_arcs = N // _LEAF_SOURCES
-    levels = []
-    narc = _MIN_ARCS
-    while narc <= n_leaf_arcs:
-        levels.append(narc)
-        narc *= 2
-
-    # multipole tables: tables[l][arc, m, row] = sum_k c_k (s_k - c_arc)^m
-    tables = []
-    centers = []
-    for narc in levels:
-        per = N // narc
-        c_arc = np.exp(-2j * np.pi * (np.arange(narc) + 0.5) / narc)
-        d = nodes - np.repeat(c_arc, per)
-        table = np.empty((narc, _MP_TERMS, n_rows), dtype=np.complex128)
-        cur = w_flat.copy()
-        for m in range(_MP_TERMS):
-            table[:, m, :] = cur.reshape(n_rows, narc, per).sum(axis=-1).T
-            if m + 1 < _MP_TERMS:
-                cur = cur * d
-        tables.append(table)
-        centers.append(c_arc)
-
-    # angular leaf bin of every target
-    frac = np.mod(-np.angle(ys) / (2 * np.pi), 1.0)
-    leaf_bin = np.minimum((frac * n_leaf_arcs).astype(np.intp), n_leaf_arcs - 1)
-
-    out = np.zeros((n_rows, n_targets), dtype=np.complex128)
-
-    def add_arcs(level_idx, arc_idx):
-        # multipole contribution of arcs `arc_idx[s, t]` to target t,
-        # Horner in 1/(y - center), summed over the stacked arc axis
-        c_arc = centers[level_idx][arc_idx]
-        tab = tables[level_idx]
-        inv_full = 1.0 / (ys - c_arc)
-        for lo in range(0, n_targets, _EVAL_CHUNK):
-            sl = slice(lo, lo + _EVAL_CHUNK)
-            gath = tab[arc_idx[:, sl]]            # (k, chunk, P, rows)
-            inv = inv_full[:, sl][..., None]
-            acc = gath[:, :, _MP_TERMS - 1, :]
-            for m in range(_MP_TERMS - 2, -1, -1):
-                acc = acc * inv + gath[:, :, m, :]
-            out[:, sl] += np.sum(acc * inv, axis=0).T
-
-    shift = len(levels) - 1
-    a_top = leaf_bin >> shift
-    offs = np.arange(2, _MIN_ARCS - 1)
-    add_arcs(0, np.mod(a_top + offs[:, None], _MIN_ARCS))
-    for li in range(1, len(levels)):
-        narc = levels[li]
-        a = leaf_bin >> (shift - li)
-        # children of the parent's +-1 neighbourhood that are not our own:
-        # three arcs, depending on which child we are
-        even = (a & 1) == 0
-        stack = np.empty((3, a.size), dtype=np.intp)
-        stack[0] = np.where(even, a - 2, a - 3)
-        stack[1] = np.where(even, a + 2, a - 2)
-        stack[2] = np.where(even, a + 3, a + 2)
-        add_arcs(li, np.mod(stack, narc))
-
-    # near field: direct sum over the sources of leaf arcs a-1, a, a+1
-    order = np.argsort(leaf_bin, kind="stable")
-    src_idx = np.arange(-_LEAF_SOURCES, 2 * _LEAF_SOURCES)
-    pos = 0
-    while pos < order.size:
-        b = leaf_bin[order[pos]]
-        end = pos
-        while end < order.size and leaf_bin[order[end]] == b:
-            end += 1
-        sel = order[pos:end]
-        cols = np.mod(b * _LEAF_SOURCES + src_idx, N)
-        inv = 1.0 / (ys[sel][:, None] - nodes[cols])
-        out[:, sel] += w_flat[:, cols] @ inv.T
-        pos = end
-    return out.reshape(rows_shape + (n_targets,))
+    t_ys = np.mod(-np.angle(ys) / (2 * np.pi), 1.0)
+    out = _cauchy_tree(nodes, np.arange(N) / N, weights.reshape(-1, N), ys, t_ys,
+                       lambda t: np.exp(-2j * np.pi * t), periodic=True)
+    return out.reshape(weights.shape[:-1] + ys.shape)
 
 
 def cauchy_line_sum(sources, weights, ys) -> np.ndarray:
@@ -480,89 +284,106 @@ def cauchy_line_sum(sources, weights, ys) -> np.ndarray:
     lo, hi = float(np.min(sources)), float(np.max(sources))
     span = hi - lo
     if s_n * t_n <= _DENSE_LIMIT or s_n < 4 * _LEAF_SOURCES or span <= 0.0:
-        out = np.zeros(t_n, dtype=np.complex128)
-        step = max(1, _DENSE_LIMIT // s_n)
-        for base in range(0, t_n, step):
-            chunk = ys[base:base + step]
-            out[base:base + step] = (weights / (chunk[:, None] - sources)).sum(axis=1)
-        return out
-
-    n_leaf = _next_pow2(max(s_n // _LEAF_SOURCES, _MIN_ARCS))
+        return _cauchy_dense(weights, sources, ys)
     order = np.argsort(sources)
     src = sources[order]
-    wts = weights[order]
-    width = span / n_leaf
-    leaf_of_src = np.minimum(((src - lo) / width).astype(np.intp), n_leaf - 1)
+    out = _cauchy_tree(src, (src - lo) / span, weights[order][None, :], ys,
+                       (ys.real - lo) / span, lambda t: lo + t * span, periodic=False)
+    return out[0]
 
-    levels = []
-    narc = _MIN_ARCS
-    while narc <= n_leaf:
-        levels.append(narc)
-        narc *= 2
 
-    tables = []
-    centers = []
-    starts_per_level = []
-    for narc in levels:
-        c_bin = lo + (np.arange(narc) + 0.5) * (span / narc)
-        bin_of_src = leaf_of_src // (n_leaf // narc)
-        d = src - c_bin[bin_of_src]
-        bounds = np.searchsorted(bin_of_src, np.arange(narc + 1))
-        table = np.zeros((narc, _MP_TERMS), dtype=float)
-        cur = wts.copy()
+def _cauchy_tree(sources, t_src, weights, ys, t_ys, curve, periodic):
+    """sum_k weights[r, k] / (y - sources[k]) by a bisection multipole hierarchy.
+
+    The sources lie on the curve s = curve(t), sorted by their parameter
+    `t_src` in [0, 1]; `t_ys` places each target at the parameter of a
+    nearby curve point.  Level l splits the parameter range into
+    _TOP_BINS * 2^l equal bins.  A target takes the truncated multipole
+    expansion of every bin in its interaction lists (separation ratio
+    <= ~1/3) and sums the sources of its own and the two adjacent leaf
+    bins directly.  `periodic` closes the curve (the circle); otherwise
+    it is a segment and bins past its ends do not exist.
+
+    Expansion tables are laid out (bin, term, row) so that per-target
+    gathers copy one contiguous block per bin and the Horner sweep reads
+    sequentially.  Bin n_bins is all zeros and stands in for dropped bins.
+    """
+    n_rows, n_src = weights.shape
+    n_targets = ys.shape[0]
+    n_leaf = _next_pow2(max(n_src // _LEAF_SOURCES, _TOP_BINS))
+    src_leaf = np.minimum((t_src * n_leaf).astype(np.intp), n_leaf - 1)
+    leaf_bounds = np.searchsorted(src_leaf, np.arange(n_leaf + 1))
+    t_leaf = np.minimum((np.clip(t_ys, 0.0, 1.0) * n_leaf).astype(np.intp), n_leaf - 1)
+    far, near = _interaction_lists(t_leaf, n_leaf, periodic)
+
+    out = np.zeros((n_rows, n_targets), dtype=np.complex128)
+    for n_bins, bins in far:
+        # table[b, m, r] = sum of weights[r, k] (sources[k] - center_b)^m over bin b
+        step = n_leaf // n_bins
+        starts = leaf_bounds[::step]
+        filled = np.flatnonzero(starts[1:] > starts[:-1])
+        centers = np.append(curve((np.arange(n_bins) + 0.5) / n_bins), 0.0)
+        d = sources - centers[src_leaf // step]
+        table = np.zeros((n_bins + 1, _MP_TERMS, n_rows), dtype=np.complex128)
+        cur = weights
         for m in range(_MP_TERMS):
-            csum = np.concatenate([[0.0], np.cumsum(cur)])
-            table[:, m] = csum[bounds[1:]] - csum[bounds[:-1]]
+            table[filled, m, :] = np.add.reduceat(cur, starts[filled], axis=1).T
             if m + 1 < _MP_TERMS:
                 cur = cur * d
-        tables.append(table)
-        centers.append(c_bin)
-        starts_per_level.append(bounds)
 
-    t_bin = np.clip(((ys.real - lo) / width).astype(np.intp), 0, n_leaf - 1)
-    out = np.zeros(t_n, dtype=np.complex128)
-    shift = len(levels) - 1
+        # Horner in 1/(y - center), summed over the stacked bin axis
+        inv_full = np.divide(1.0, ys - centers[bins], where=bins < n_bins,
+                             out=np.zeros(bins.shape, dtype=np.complex128))
+        for lo in range(0, n_targets, _EVAL_CHUNK):
+            sl = slice(lo, lo + _EVAL_CHUNK)
+            gath = table[bins[:, sl]]            # (k, chunk, P, rows)
+            inv = inv_full[:, sl, None]
+            acc = gath[:, :, _MP_TERMS - 1, :]
+            for m in range(_MP_TERMS - 2, -1, -1):
+                acc = acc * inv + gath[:, :, m, :]
+            out[:, sl] += np.sum(acc * inv, axis=0).T
 
-    def add_bins(level_idx, bin_idx, valid):
-        c_bin = centers[level_idx][bin_idx]
-        tab = tables[level_idx]
-        inv = np.where(valid, 1.0 / (ys - c_bin), 0.0)
-        acc = tab[bin_idx, _MP_TERMS - 1] * valid
-        for m in range(_MP_TERMS - 2, -1, -1):
-            acc = acc * inv + tab[bin_idx, m] * valid
-        out[...] += np.sum(acc * inv, axis=0)
-
-    a_top = t_bin >> shift
-    offs = np.concatenate([np.arange(-_MIN_ARCS + 1, -1), np.arange(2, _MIN_ARCS)])
-    cand = a_top + offs[:, None]
-    valid = (cand >= 0) & (cand < _MIN_ARCS)
-    add_bins(0, np.clip(cand, 0, _MIN_ARCS - 1), valid)
-    for li in range(1, len(levels)):
-        narc = levels[li]
-        a = t_bin >> (shift - li)
-        even = (a & 1) == 0
-        stack = np.empty((3, t_n), dtype=np.intp)
-        stack[0] = np.where(even, a - 2, a - 3)
-        stack[1] = np.where(even, a + 2, a - 2)
-        stack[2] = np.where(even, a + 3, a + 2)
-        valid = (stack >= 0) & (stack < narc)
-        if np.any(valid):
-            add_bins(li, np.clip(stack, 0, narc - 1), valid)
-
-    # near field: the sources of leaf bins b-1, b, b+1 directly
-    leaf_bounds = starts_per_level[-1]
-    t_order = np.argsort(t_bin, kind="stable")
-    pos = 0
-    while pos < t_n:
-        b = t_bin[t_order[pos]]
-        end = pos
-        while end < t_n and t_bin[t_order[end]] == b:
-            end += 1
-        sel = t_order[pos:end]
-        s0 = leaf_bounds[max(b - 1, 0)]
-        s1 = leaf_bounds[min(b + 2, n_leaf)]
-        if s1 > s0:
-            inv = 1.0 / (ys[sel][:, None] - src[s0:s1])
-            out[sel] += inv @ wts[s0:s1]
-        pos = end
+    # near field: targets grouped by leaf bin, direct sum over the near bins
+    order = np.argsort(t_leaf, kind="stable")
+    cuts = np.flatnonzero(np.diff(t_leaf[order])) + 1
+    for sel in np.split(order, cuts):
+        cols = np.concatenate([np.arange(leaf_bounds[b], leaf_bounds[b + 1])
+                               for b in near[:, sel[0]] if b < n_leaf])
+        inv = 1.0 / (ys[sel][:, None] - sources[cols])
+        out[:, sel] += weights[:, cols] @ inv.T
     return out
+
+
+def _interaction_lists(t_leaf, n_leaf, periodic):
+    """Bins that targets in leaf bins `t_leaf` take at each level.
+
+    Returns ``(far, near)``.  `far` holds one ``(n_bins, bins)`` pair per
+    level, coarsest first: ``bins[:, t]`` are the bins whose multipole
+    expansions target t takes there.  `near` holds the leaf bins t_leaf - 1,
+    t_leaf and t_leaf + 1, summed directly.  Together they cover every leaf
+    bin exactly once.  A bin index equal to the level's bin count marks a
+    bin past the end of an open segment.
+    """
+    def place(cand, n_bins):
+        if periodic:
+            return np.mod(cand, n_bins)
+        return np.where((cand >= 0) & (cand < n_bins), cand, n_bins)
+
+    shift = n_leaf.bit_length() - _TOP_BINS.bit_length()
+    # top level: every bin that is neither the target's own nor adjacent
+    if periodic:
+        offs = np.arange(2, _TOP_BINS - 1)
+    else:
+        offs = np.r_[-_TOP_BINS + 1:-1, 2:_TOP_BINS]
+    far = [(_TOP_BINS, place((t_leaf >> shift) + offs[:, None], _TOP_BINS))]
+    for li in range(1, shift + 1):
+        a = t_leaf >> (shift - li)
+        # children of the parent's +-1 neighbourhood that are not our own
+        # neighbours: three bins, depending on which child we are
+        even = (a & 1) == 0
+        cand = np.stack([np.where(even, a - 2, a - 3),
+                         np.where(even, a + 2, a - 2),
+                         np.where(even, a + 3, a + 2)])
+        far.append((_TOP_BINS << li, place(cand, _TOP_BINS << li)))
+    near = place(t_leaf + np.arange(-1, 2)[:, None], n_leaf)
+    return far, near

@@ -32,10 +32,6 @@ class NonPowerOfTwoLength(QuatPolyError):
     """FFT input length must be a power of two."""
 
 
-class DivisorZero(QuatPolyError):
-    """Polynomial division by the zero polynomial."""
-
-
 class ZeroConjugator(QuatPolyError):
     """Conjugation u . x . u^-1 requested with u = 0."""
 

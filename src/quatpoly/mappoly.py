@@ -14,7 +14,9 @@ stays as the oracle.
 
 Degrees are total degrees; the degree of a quadruple is the maximum over
 its components, which matches half the total degree of the component sum
-of squares because squares of reals cannot cancel.
+of squares because squares of reals cannot cancel.  Coefficients count
+for degrees once they exceed DEGREE_TRIM_REL times the largest one of the
+whole quadruple.
 """
 
 from __future__ import annotations
@@ -78,12 +80,7 @@ class RPoly4:
     @property
     def degree(self):
         """Total degree over entries above the relative trim threshold."""
-        peak = np.max(np.abs(self.table))
-        if peak == 0.0:
-            return NEG_INF
-        mask = np.abs(self.table) > DEGREE_TRIM_REL * peak
-        sums = np.indices(self.table.shape).sum(axis=0)
-        return int(np.max(sums[mask]))
+        return _trimmed_degree([self.table])
 
     def is_zero(self) -> bool:
         return not np.any(self.table)
@@ -124,6 +121,20 @@ class RPoly4:
 
     def __repr__(self):
         return f"RPoly4(extents={self.extents}, degree={self.degree})"
+
+
+def _trimmed_degree(tables):
+    """Largest total degree of an entry above DEGREE_TRIM_REL times the
+    largest entry of all the tables; -inf when they are all zero."""
+    peak = max(float(np.max(np.abs(t))) for t in tables)
+    if peak == 0.0:
+        return NEG_INF
+    out = NEG_INF
+    for t in tables:
+        mask = np.abs(t) > DEGREE_TRIM_REL * peak
+        if np.any(mask):
+            out = max(out, int(np.max(np.indices(t.shape).sum(axis=0)[mask])))
+    return out
 
 
 def _scatter_mul(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -198,8 +209,13 @@ class QuadruplePoly:
 
     @property
     def degree(self):
-        """Total degree; -inf for the zero mapping, an integer otherwise."""
-        return max(c.degree for c in self.comps)
+        """Total degree; -inf for the zero mapping, an integer otherwise.
+
+        Entries are trimmed against the largest coefficient of the whole
+        quadruple, so a component holding only rounding residue of a
+        cancellation does not count.
+        """
+        return _trimmed_degree([c.table for c in self.comps])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
@@ -323,6 +339,11 @@ class QuadruplePoly:
 
     @classmethod
     def from_text(cls, text: str) -> "QuadruplePoly":
+        """Inverse of `to_text`; raises ParseError on malformed text.
+
+        The tables are sized from the rows present, not from the header,
+        which only bounds the exponents.
+        """
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty quadruple serialization")
@@ -330,7 +351,9 @@ class QuadruplePoly:
             bound = int(lines[0])
         except ValueError:
             raise ParseError(f"bad degree-bound header: {lines[0]!r}") from None
-        tables = np.zeros((bound + 1,) * 4 + (4,))
+        if bound < 0:
+            raise ParseError(f"negative degree-bound header: {lines[0]!r}")
+        rows = {}
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 8:
@@ -342,6 +365,14 @@ class QuadruplePoly:
                 raise ParseError(f"bad table row: {ln!r}") from None
             if any(v < 0 or v > bound for v in e):
                 raise ParseError(f"exponent outside declared bound: {ln!r}")
+            if not np.all(np.isfinite(coeffs)):
+                raise ParseError(f"non-finite coefficient: {ln!r}")
+            if e in rows:
+                raise ParseError(f"duplicate exponent row: {ln!r}")
+            rows[e] = coeffs
+        shape = tuple(max((e[m] for e in rows), default=0) + 1 for m in range(4))
+        tables = np.zeros(shape + (4,))
+        for e, coeffs in rows.items():
             tables[e] = coeffs
         return cls([RPoly4(tables[..., m]) for m in range(4)])
 

@@ -106,13 +106,7 @@ class TwoSidedPoly:
         return Quaternion(*self.left[l]), Quaternion(*self.right[l])
 
     def two_sided_eval(self, x: Quaternion) -> Quaternion:
-        acc = Quaternion()
-        power = Quaternion(1.0)
-        for l in range(len(self)):
-            if l:
-                power = power * x
-            acc = acc + Quaternion(*self.left[l]) * power * Quaternion(*self.right[l])
-        return acc
+        return Quaternion(*_power_sums(self, np.array([x.components()]))[0])
 
     def __repr__(self):
         return f"TwoSidedPoly(n_terms={len(self)})"
@@ -192,10 +186,26 @@ def multieval_fast(p, xs) -> list:
 
 
 def multieval_naive(p, xs) -> list:
-    """Per-point evaluation oracle (Horner / literal two-sided sums)."""
+    """Evaluation oracle: the literal sums of a_l x^l b_l at every point.
+
+    Powers are summed directly, independently of the rotation path, and
+    vectorized over the points only.
+    """
     if isinstance(p, OneSidedPoly):
-        return [p.horner_eval(x) for x in xs]
-    return [p.two_sided_eval(x) for x in xs]
+        p = TwoSidedPoly.from_one_sided(p)
+    return to_quaternions(_power_sums(p, from_quaternions(xs)))
+
+
+def _power_sums(p: TwoSidedPoly, pts: np.ndarray) -> np.ndarray:
+    """sum_l a_l x^l b_l for every row x of the (n_pts, 4) array `pts`."""
+    acc = np.zeros_like(pts)
+    power = np.zeros_like(pts)
+    power[:, 0] = 1.0
+    for l in range(len(p)):
+        if l:
+            power = qmul(power, pts)
+        acc += qmul(qmul(p.left[l], power), p.right[l])
+    return acc
 
 
 # -- interpolation -------------------------------------------------------------
@@ -378,8 +388,12 @@ def nbody_multieval(poles, xs) -> list:
         u, y = rotation_to_complex(x)
         us[l] = u.components()
         ys[l] = complex(y.re, y.im_i)
-    dist = np.abs(ys[:, None] - poles[None, :])
-    bad = np.nonzero(np.min(dist, axis=1) < TOL_POLE)[0]
+    # the nearest real pole to y is a neighbour of Re(y) in sorted order
+    srt = np.sort(poles)
+    right = np.minimum(np.searchsorted(srt, ys.real), srt.size - 1)
+    left = np.maximum(right - 1, 0)
+    dist = np.minimum(np.abs(ys - srt[left]), np.abs(ys - srt[right]))
+    bad = np.nonzero(dist < TOL_POLE)[0]
     if bad.size:
         raise PoleCollision(
             f"point {bad[0]} reduces within {TOL_POLE} of a pole")

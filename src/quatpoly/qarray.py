@@ -26,22 +26,6 @@ def qmul(a, b):
     ], axis=-1)
 
 
-def qconj(a):
-    a = np.asarray(a, dtype=float)
-    out = a.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
-def qnorm_sq(a):
-    a = np.asarray(a, dtype=float)
-    return np.sum(a * a, axis=-1)
-
-
-def qinv(a):
-    return qconj(a) / qnorm_sq(a)[..., None]
-
-
 def from_quaternions(qs) -> np.ndarray:
     """Stack an iterable of Quaternion into an (n, 4) array."""
     return np.array([q.components() for q in qs], dtype=float).reshape(-1, 4)

@@ -161,23 +161,6 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 BASIS = (ONE, I, J, K)
 
 
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product of two quaternions (not commutative)."""
-    return a * b
-
-
-def conj(a: Quaternion) -> Quaternion:
-    return a.conj()
-
-
-def norm(a: Quaternion) -> float:
-    return a.norm()
-
-
-def inverse(a: Quaternion) -> Quaternion:
-    return a.inverse()
-
-
 def auto_equivalent(a: Quaternion, b: Quaternion, tol: float = TOL_EQ) -> bool:
     """Whether a and b are conjugate under some u . x . u^-1.
 
@@ -260,7 +243,10 @@ def parse_quaternion(text: str) -> Quaternion:
             value, unit = 1.0, m.group(3)
         else:
             value, unit = float(m.group(1)), m.group(2)
-        comps[_UNIT_INDEX[unit]] += sign * value
+        idx = _UNIT_INDEX[unit]
+        comps[idx] += sign * value
+        if not math.isfinite(comps[idx]):
+            raise ParseError("number outside the double range", m.start())
         pos = _WS_RE.match(text, m.end()).end()
         first = False
     return Quaternion(*comps)

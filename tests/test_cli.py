@@ -32,6 +32,11 @@ def test_eval_parse_error_exit_2(capsys):
     assert code == 2
 
 
+def test_eval_overflowing_point_exit_2(capsys):
+    code, _, _ = run_main(capsys, ["eval", "-e", "X", "-x", "1e400"])
+    assert code == 2
+
+
 def test_expand_and_errors(tmp_path, capsys):
     out_file = tmp_path / "quad.txt"
     code, _, _ = run_main(capsys, ["expand", "-e", "X·X", "-o", str(out_file)])

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from quatpoly import complexpoly as cp
-from quatpoly.errors import DivisorZero, NonPowerOfTwoLength
-
-
-def schoolbook_mul(a, b):
-    out = np.zeros(len(a) + len(b) - 1, dtype=complex)
-    for i, va in enumerate(a):
-        for j, vb in enumerate(b):
-            out[i + j] += va * vb
-    return out
+from quatpoly.errors import NonPowerOfTwoLength
 
 
 def horner(coeffs, pts):
@@ -51,78 +43,6 @@ def test_fft_rejects_non_power_of_two():
     for n in (0, 3, 6, 100):
         with pytest.raises(NonPowerOfTwoLength):
             cp.fft(np.zeros(n))
-
-
-def test_cmul_examples():
-    p = cp.CPoly([1, 1])
-    q = cp.CPoly([1, -1])
-    prod = cp.cmul(p, q)
-    assert prod.degree == 2
-    assert np.allclose(prod.coeffs, [1, 0, -1], atol=1e-12)
-    r = cp.CPoly([3, -2j, 1])
-    assert np.allclose(cp.cmul(r, cp.CPoly([1])).coeffs, r.coeffs, atol=1e-12)
-
-
-def test_cmul_against_schoolbook():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal(51) + 1j * rng.standard_normal(51)
-    b = rng.standard_normal(51) + 1j * rng.standard_normal(51)
-    want = schoolbook_mul(a, b)
-    got = cp.cmul(cp.CPoly(a), cp.CPoly(b)).coeffs
-    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-
-
-def test_cmul_degree_additivity():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        da, db = rng.integers(0, 40, size=2)
-        a = cp.CPoly(rng.standard_normal(da + 1))
-        b = cp.CPoly(rng.standard_normal(db + 1))
-        prod = cp.cmul(a, b)
-        scale = np.max(np.abs(prod.coeffs))
-        assert cp.CPoly(prod.coeffs, trim_tol=1e-9 * scale).degree == da + db
-
-
-def test_div_rem_examples():
-    q, r = cp.div_rem(cp.CPoly([1, 0, 1]), cp.CPoly([-1j, 1]))
-    assert np.allclose(q.coeffs, [1j, 1], atol=1e-12)
-    assert r.degree == -1
-    p = cp.CPoly([2, 3, 4])
-    q, r = cp.div_rem(p, cp.CPoly([1]))
-    assert np.allclose(q.coeffs, p.coeffs) and r.degree == -1
-    with pytest.raises(DivisorZero):
-        cp.div_rem(p, cp.CPoly([]))
-
-
-def test_div_rem_reconstruction():
-    rng = np.random.default_rng(4)
-    p = cp.CPoly(rng.standard_normal(41) + 1j * rng.standard_normal(41))
-    d = cp.CPoly(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    q, r = cp.div_rem(p, d)
-    assert r.degree < d.degree
-    rebuilt = cp.cmul(q, d).coeffs
-    rebuilt[: len(r.coeffs)] += r.coeffs
-    assert np.max(np.abs(rebuilt - p.coeffs)) <= 1e-8 * np.max(np.abs(p.coeffs))
-
-
-def test_div_rem_large_division_reconstructs():
-    # large division against a divisor shaped like the library's own
-    # (monic, roots inside the unit disk)
-    rng = np.random.default_rng(5)
-    p_c = rng.standard_normal(1200) + 1j * rng.standard_normal(1200)
-    roots = rng.uniform(0.1, 0.95, 499) * np.exp(1j * rng.uniform(0, 2 * np.pi, 499))
-    d_c = cp._poly_from_roots(roots)
-    q1, r1 = cp._div_rem_rows(p_c[None, :], d_c)
-    r = p_c.astype(complex).copy()
-    qs = np.zeros(1200 - 500 + 1, dtype=complex)
-    for t in range(len(qs) - 1, -1, -1):
-        c = r[t + 499] / d_c[-1]
-        qs[t] = c
-        r[t:t + 500] -= c * d_c
-    q_scale = np.max(np.abs(qs))
-    r_scale = np.max(np.abs(r[:499]))
-    assert np.max(np.abs(q1[0] - qs)) <= 1e-7 * q_scale
-    assert np.max(np.abs(r1[0] - r[:499])) <= 1e-7 * r_scale
 
 
 def test_multipoint_examples():
@@ -166,25 +86,6 @@ def test_multipoint_points_outside_disk_and_on_nodes():
     got = cp.multipoint_eval(cp.CPoly(coeffs), pts)
     want = horner(coeffs, pts)
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-12)) <= 1e-7
-
-
-def test_subproduct_examples():
-    tree = cp.subproduct_build([1, -1])
-    assert np.allclose(tree.root.coeffs, [-1, 0, 1], atol=1e-12)
-    rng = np.random.default_rng(8)
-    pts = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    root = cp.subproduct_build(pts, leaf_size=2).root
-    folded = cp.CPoly([1.0])
-    for x in pts:
-        folded = cp.cmul(folded, cp.CPoly([-x, 1.0]))
-    assert np.max(np.abs(root.coeffs - folded.coeffs)) \
-        <= 1e-9 * np.max(np.abs(folded.coeffs))
-
-
-def test_derivative():
-    assert np.allclose(cp.derivative(cp.CPoly([0, 0, 0, 1])).coeffs, [0, 0, 3])
-    assert cp.derivative(cp.CPoly([5])).degree == -1
-    assert cp.derivative(cp.CPoly()).degree == -1
 
 
 def test_cauchy_line_sum_matches_direct():
@@ -253,65 +154,39 @@ def test_cauchy_line_sum_clustered_sources():
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), floor)) <= 1e-8
 
 
+def charge_counts(n_leaf, periodic):
+    """counts[t, b]: how often the interaction lists of a target in leaf
+    bin t charge source leaf bin b, checking far-bin separation on the way."""
+    leaf = np.arange(n_leaf)
+    far, near = cp._interaction_lists(leaf, n_leaf, periodic)
+    counts = np.zeros((n_leaf, n_leaf), dtype=int)
+    for n_bins, bins in far:
+        per = n_leaf // n_bins
+        own = leaf // per
+        for t in leaf:
+            for b in bins[:, t]:
+                if b == n_bins:
+                    continue  # past the end of the open segment
+                gap = abs(b - own[t])
+                if periodic:
+                    gap = min(gap, n_bins - gap)
+                assert gap >= 2, (n_bins, t, b)
+                counts[t, b * per:(b + 1) * per] += 1
+    for t in leaf:
+        for b in near[:, t]:
+            if b < n_leaf:
+                counts[t, b] += 1
+    return counts
+
+
 @pytest.mark.parametrize("n_leaf", [16, 64, 512])
 def test_interaction_lists_partition_sources(n_leaf):
-    # every source arc must be charged to a target exactly once: either in
-    # some level's far list or in the leaf neighbourhood
-    min_arcs = cp._MIN_ARCS
-    levels = []
-    narc = min_arcs
-    while narc <= n_leaf:
-        levels.append(narc)
-        narc *= 2
-    shift = len(levels) - 1
-    for a_leaf in range(n_leaf):
-        counts = np.zeros(n_leaf, dtype=int)
-        a_top = a_leaf >> shift
-        per = n_leaf // min_arcs
-        for off in range(2, min_arcs - 1):
-            arc = (a_top + off) % min_arcs
-            counts[arc * per:(arc + 1) * per] += 1
-        for li in range(1, len(levels)):
-            narc = levels[li]
-            a = a_leaf >> (shift - li)
-            stack = [a - 2, a + 2, a + 3] if a % 2 == 0 else [a - 3, a - 2, a + 2]
-            per = n_leaf // narc
-            for arc in stack:
-                arc %= narc
-                counts[arc * per:(arc + 1) * per] += 1
-        for arc in (a_leaf - 1, a_leaf, a_leaf + 1):
-            counts[arc % n_leaf] += 1
-        assert np.all(counts == 1)
+    # circle: every source bin is charged to every target exactly once,
+    # either in some level's far list or in the leaf neighbourhood
+    assert np.all(charge_counts(n_leaf, periodic=True) == 1)
 
 
 @pytest.mark.parametrize("n_leaf", [16, 64, 256])
 def test_line_interaction_lists_partition_sources(n_leaf):
-    # open-interval variant: candidates outside the bin range are dropped,
-    # coverage must still be exact for every target bin
-    min_arcs = cp._MIN_ARCS
-    levels = []
-    narc = min_arcs
-    while narc <= n_leaf:
-        levels.append(narc)
-        narc *= 2
-    shift = len(levels) - 1
-    for t_bin in range(n_leaf):
-        counts = np.zeros(n_leaf, dtype=int)
-        a_top = t_bin >> shift
-        per = n_leaf // min_arcs
-        for off in list(range(-min_arcs + 1, -1)) + list(range(2, min_arcs)):
-            arc = a_top + off
-            if 0 <= arc < min_arcs:
-                counts[arc * per:(arc + 1) * per] += 1
-        for li in range(1, len(levels)):
-            narc = levels[li]
-            a = t_bin >> (shift - li)
-            stack = [a - 2, a + 2, a + 3] if a % 2 == 0 else [a - 3, a - 2, a + 2]
-            per = n_leaf // narc
-            for arc in stack:
-                if 0 <= arc < narc:
-                    counts[arc * per:(arc + 1) * per] += 1
-        for arc in (t_bin - 1, t_bin, t_bin + 1):
-            if 0 <= arc < n_leaf:
-                counts[arc] += 1
-        assert np.all(counts == 1)
+    # open segment: bins past the ends are dropped, coverage stays exact
+    assert np.all(charge_counts(n_leaf, periodic=False) == 1)

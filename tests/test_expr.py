@@ -143,6 +143,13 @@ def test_expand_vanishing_is_zero_quadruple():
     assert mp.coeff_scale(quad) <= 1e-9 * 4.0
 
 
+def test_expand_degree_ignores_cancellation_residue():
+    # two components cancel to rounding residue far below the quadruple's
+    # peak coefficient; they must not count for the degree
+    text = "·".join(["X", "i", "X", "j"] * 4) + " - " + "·".join(["j", "X", "i", "X"] * 4)
+    assert ex.expand(ex.parse_expression(text)).degree == 8
+
+
 def test_expand_rejects_brackets():
     with pytest.raises(BracketsNotAllowed):
         ex.expand(ex.parse_expression("(X)·(X)"))

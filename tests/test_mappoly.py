@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quatpoly import mappoly as mp
-from quatpoly.errors import EmptySampleSet, SingularTransform
+from quatpoly.errors import EmptySampleSet, ParseError, SingularTransform
 from quatpoly.quaternion import I, J, K, Quaternion, random_quaternion
 
 ONE = Quaternion(1)
@@ -250,6 +250,28 @@ def test_serialization_round_trip():
     assert mp.max_coeff_diff(mp.QuadruplePoly.from_text(p.to_text()), p) <= 1e-15
     z = mp.QuadruplePoly.zero()
     assert mp.QuadruplePoly.from_text(z.to_text()).is_zero()
+
+
+def test_from_text_rejects_negative_header():
+    with pytest.raises(ParseError):
+        mp.QuadruplePoly.from_text("-1\n")
+
+
+def test_from_text_sizes_tables_from_rows():
+    # the header only bounds exponents; a huge bound must not allocate
+    p = mp.QuadruplePoly.from_text("1000000\n2 0 1 0 1 0 0 -3\n")
+    assert all(c.extents == (3, 1, 2, 1) for c in p.comps)
+    assert p.evaluate(Quaternion(2, 0, 5, 0)) == Quaternion(20, 0, 0, -60)
+
+
+def test_from_text_rejects_duplicate_rows():
+    with pytest.raises(ParseError):
+        mp.QuadruplePoly.from_text("1\n1 0 0 0 1 0 0 0\n1 0 0 0 2 0 0 0\n")
+
+
+def test_from_text_rejects_non_finite_coefficients():
+    with pytest.raises(ParseError):
+        mp.QuadruplePoly.from_text("1\n1 0 0 0 nan 0 0 0\n")
 
 
 def test_grid_multieval_complex_abscissae():

@@ -245,6 +245,33 @@ def test_nbody_pole_collision():
     os_.nbody_multieval([0.5], [Quaternion(0.5, 0.3, 0.2, 0.1)])
 
 
+@pytest.mark.parametrize("pole", [-0.75, 0.125, 0.875])
+def test_nbody_pole_collision_first_interior_last(pole):
+    # the sorted nearest-neighbour check must see the first, an interior
+    # and the last pole, approached from either side and off the axis
+    poles = np.array([0.875, -0.75, 0.125, 0.5, -0.25])
+    for x in (Quaternion(pole - 5e-10), Quaternion(pole + 5e-10),
+              Quaternion(pole, 0, 1e-12, 0)):
+        with pytest.raises(PoleCollision):
+            os_.nbody_multieval(poles, [Quaternion(0.3), x])
+    os_.nbody_multieval(poles, [Quaternion(pole, 0, 1e-6, 0)])
+
+
+def test_multieval_naive_matches_literal_sums():
+    rng = np.random.default_rng(14)
+    p = os_.random_two_sided(9, rng)
+    xs = [random_quaternion(rng) for _ in range(20)]
+    for x, got in zip(xs, os_.multieval_naive(p, xs)):
+        want = Quaternion()
+        power = ONE
+        for l in range(len(p)):
+            if l:
+                power = power * x
+            a, b = p.term(l)
+            want = want + a * power * b
+        assert got == want
+
+
 def test_vandermonde_invertible_stays_finite_for_large_systems():
     # the raw determinant of a 48x48 power matrix overflows doubles; the
     # log-domain comparison must still return a clean verdict

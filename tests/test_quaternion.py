@@ -171,6 +171,12 @@ def test_parse_examples_and_errors():
             parse_quaternion(bad)
 
 
+def test_parse_rejects_numbers_beyond_double_range():
+    for bad in ["1e400", "-1e400j", "1e308+1e308"]:
+        with pytest.raises(ParseError):
+            parse_quaternion(bad)
+
+
 def test_format_styles():
     assert format_quaternion(Quaternion()) == "0"
     assert format_quaternion(Quaternion(0, -1)) == "-i"
