@@ -3,10 +3,10 @@
 Three notions of a quaternion polynomial, each with its own module:
 
 * `mappoly`  - the ring of polynomial mappings, stored as quadruples of
-  four-variate real polynomials (fast multiplication by Kronecker
-  embedding, grid multi-evaluation, randomized zero witnesses);
+  four-variate real polynomials (fast multiplication by four-dimensional
+  real FFTs, grid multi-evaluation, randomized zero witnesses);
 * `seqpoly`  - coefficient sequences under non-commutative convolution
-  (fast convolution from 16 real FFT convolutions);
+  (fast convolution by real FFTs and a quaternion product of spectra);
 * `onesided` - one- and two-sided coefficient polynomials as mappings
   (rotation-reduced fast multi-evaluation, Vandermonde interpolation,
   root-form evaluation, the real-pole N-body kernel).

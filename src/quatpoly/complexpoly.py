@@ -1,7 +1,7 @@
 """Dense univariate polynomial kernels over the complex numbers.
 
-Commutative support machinery for the quaternion modules: an iterative
-radix-2 FFT, fast multipoint evaluation, and Cauchy sums
+Commutative support machinery for the quaternion modules: the FFT (a thin
+name over numpy.fft), fast multipoint evaluation, and Cauchy sums
 sum_k w_k / (y - s_k) over real sources.
 
 Multipoint evaluation works in value space rather than coefficient space:
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonPowerOfTwoLength
-
 #: below this many points (or this degree) multipoint evaluation uses Horner
 DEFAULT_CROSSOVER = 32
 
@@ -50,56 +48,17 @@ _EVAL_CHUNK = 2048
 #: targets this close to a circle node are evaluated by plain Horner
 _NODE_GUARD = 3e-8
 
-_bitrev_cache: dict[int, np.ndarray] = {}
-_twiddle_cache: dict[tuple[int, bool], np.ndarray] = {}
 _node_cache: dict[int, np.ndarray] = {}
 
 
-def _bitrev_indices(n: int) -> np.ndarray:
-    idx = _bitrev_cache.get(n)
-    if idx is None:
-        idx = np.zeros(n, dtype=np.intp)
-        for i in range(1, n):
-            idx[i] = (idx[i >> 1] >> 1) | ((i & 1) * (n >> 1))
-        _bitrev_cache[n] = idx
-    return idx
-
-
-def _twiddles(half: int, inverse: bool) -> np.ndarray:
-    key = (half, inverse)
-    w = _twiddle_cache.get(key)
-    if w is None:
-        sign = 1.0 if inverse else -1.0
-        w = np.exp(sign * 1j * np.pi * np.arange(half) / half)
-        _twiddle_cache[key] = w
-    return w
-
-
 def fft(values, inverse: bool = False) -> np.ndarray:
-    """Radix-2 discrete Fourier transform along the last axis.
+    """Discrete Fourier transform along the last axis, any length.
 
     Forward maps index l to sum_m a_m exp(-2 pi i l m / n); `inverse=True`
     applies the conjugate kernel and the 1/n scaling, so the round trip is
-    the identity up to rounding.  The length must be a power of two.
+    the identity up to rounding.
     """
-    a = np.array(values, dtype=np.complex128)
-    n = a.shape[-1]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise NonPowerOfTwoLength(f"FFT length {n} is not a power of two")
-    if n == 1:
-        return a
-    a = a[..., _bitrev_indices(n)]
-    half = 1
-    while half < n:
-        w = _twiddles(half, inverse)
-        b = a.reshape(a.shape[:-1] + (n // (2 * half), 2, half))
-        t = b[..., 1, :] * w
-        b[..., 1, :] = b[..., 0, :] - t
-        b[..., 0, :] += t
-        half *= 2
-    if inverse:
-        a /= n
-    return a
+    return np.fft.ifft(values) if inverse else np.fft.fft(values)
 
 
 def _next_pow2(n: int) -> int:

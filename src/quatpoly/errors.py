@@ -28,8 +28,8 @@ class BracketsNotAllowed(QuatPolyError):
     """Expansion requires a bracket-free sum of products."""
 
 
-class NonPowerOfTwoLength(QuatPolyError):
-    """FFT input length must be a power of two."""
+class NonFiniteValue(QuatPolyError):
+    """An input point or a computed value is infinite or NaN."""
 
 
 class ZeroConjugator(QuatPolyError):

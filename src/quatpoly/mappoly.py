@@ -6,11 +6,10 @@ x0 + i x1 + j x2 + k x3.  Every quadruple of real polynomials arises this
 way, so the type carries no membership predicate.
 
 Multiplication combines the sixteen pairwise component products with the
-basis sign table.  The fast path packs each four-variate table into a
-single variable by a mixed-radix Kronecker embedding (collision-free by
-construction), multiplies in the Fourier domain with transforms shared
-across the sixteen products, and unpacks.  The schoolbook scatter product
-stays as the oracle.
+basis sign table.  The fast path transforms each factor's four component
+tables with a four-dimensional real FFT on the product box, multiplies the
+spectra pointwise as quaternions with complex components, and transforms
+back.  The schoolbook scatter product stays as the oracle.
 
 Degrees are total degrees; the degree of a quadruple is the maximum over
 its components, which matches half the total degree of the component sum
@@ -25,6 +24,7 @@ import numpy as np
 
 from . import complexpoly
 from .errors import EmptySampleSet, ParseError, SingularTransform
+from .qarray import qmul
 from .quaternion import Quaternion
 
 #: entries below this fraction of the largest one do not count for degrees
@@ -108,12 +108,9 @@ class RPoly4:
         return RPoly4(_scatter_mul(self.table, other.table))
 
     def mul_fast(self, other: "RPoly4") -> "RPoly4":
-        """Kronecker-packed FFT product."""
+        """Product by four-dimensional real FFTs on the product box."""
         shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
-        size = complexpoly._next_pow2(int(np.prod(shape)))
-        fa = complexpoly.fft(_pack(self.table, shape, size))
-        fb = complexpoly.fft(_pack(other.table, shape, size))
-        return RPoly4(_unpack(complexpoly.fft(fa * fb, inverse=True), shape))
+        return RPoly4(_unpack(_pack(self.table, shape) * _pack(other.table, shape), shape))
 
     def eval_at(self, coords) -> float:
         pw = _power_vectors(self.extents, coords)
@@ -152,23 +149,19 @@ def _scatter_mul(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(table: np.ndarray, shape, size: int) -> np.ndarray:
-    """Mixed-radix Kronecker packing into a univariate coefficient vector.
+def _pack(table: np.ndarray, shape) -> np.ndarray:
+    """Real spectrum over the four exponent axes of `table` zero-padded to
+    `shape`; trailing axes are carried along untransformed.
 
-    With radices K = `shape`, exponent tuples map to
-    ((e0*K1 + e1)*K2 + e2)*K3 + e3; sums of factor exponents never carry
-    between axes because the product extents fit the radices.
+    A product box of `shape` holds every exponent sum of its factors, so
+    the cyclic convolution of two spectra never wraps around.
     """
-    pad = [(0, s - cur) for s, cur in zip(shape, table.shape)]
-    flat = np.pad(table, pad).ravel()
-    out = np.zeros(size, dtype=float)
-    out[: flat.size] = flat
-    return out
+    return np.fft.rfftn(table, s=shape, axes=range(4))
 
 
-def _unpack(vec: np.ndarray, shape) -> np.ndarray:
-    n = int(np.prod(shape))
-    return vec[:n].real.reshape(shape)
+def _unpack(spectrum: np.ndarray, shape) -> np.ndarray:
+    """Coefficient table of `shape` back from a `_pack` spectrum."""
+    return np.fft.irfftn(spectrum, s=shape, axes=range(4))
 
 
 def _power_vectors(extents, coords):
@@ -238,23 +231,18 @@ class QuadruplePoly:
         return QuadruplePoly(_combine16(prod))
 
     def mul_fast(self, other: "QuadruplePoly") -> "QuadruplePoly":
-        """Kronecker product with transforms shared across the 16 products.
-
-        All eight component tables are packed on the common radix grid, the
-        sign table is applied pointwise to the spectra, and four inverse
-        transforms recover the result components.
+        """FFT product: the four component spectra of each factor are
+        stacked on a trailing axis and multiplied pointwise as quaternions.
         """
         if self.is_zero() or other.is_zero():
             return QuadruplePoly.zero()
         ea = tuple(map(max, zip(*(c.extents for c in self.comps))))
         eb = tuple(map(max, zip(*(c.extents for c in other.comps))))
         shape = tuple(a + b - 1 for a, b in zip(ea, eb))
-        size = complexpoly._next_pow2(int(np.prod(shape)))
-        fa = [complexpoly.fft(_pack(c.table, shape, size)) for c in self.comps]
-        fb = [complexpoly.fft(_pack(c.table, shape, size)) for c in other.comps]
-        spectra = _combine16([[fa[s] * fb[t] for t in range(4)] for s in range(4)])
-        return QuadruplePoly(
-            [RPoly4(_unpack(complexpoly.fft(h, inverse=True), shape)) for h in spectra])
+        fa = _pack(np.stack([c.padded(ea) for c in self.comps], axis=-1), shape)
+        fb = _pack(np.stack([c.padded(eb) for c in other.comps], axis=-1), shape)
+        tables = _unpack(qmul(fa, fb), shape)
+        return QuadruplePoly([RPoly4(tables[..., m]) for m in range(4)])
 
     def __mul__(self, other):
         if isinstance(other, QuadruplePoly):

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from . import complexpoly
-from .errors import InfeasiblePoints, NumericallySingular, PoleCollision
+from .errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
 from .qarray import from_quaternions, qmul, to_quaternions
 from .quaternion import TOL_EQ, Quaternion, auto_equivalent, rotation_to_complex
 
@@ -35,6 +35,10 @@ TOL_POLE = 1e-9
 
 #: LU pivot ratio below this raises NumericallySingular
 TOL_PIVOT = 1e-12
+
+#: interpolation residual above this fraction of max |y_l| raises
+#: NumericallySingular
+TOL_RESIDUAL = 1e-8
 
 
 class OneSidedPoly:
@@ -160,29 +164,53 @@ def multieval_fast(p, xs) -> list:
     if len(p) == 0:
         return [Quaternion() for _ in range(n_pts)]
 
-    us = np.empty((n_pts, 4))
-    ys = np.empty(n_pts, dtype=np.complex128)
-    for l, x in enumerate(xs):
-        u, y = rotation_to_complex(x)
-        us[l] = u.components()
-        ys[l] = complex(y.re, y.im_i)
-    uinv = us.copy()
-    uinv[:, 1:] = -uinv[:, 1:]  # unit conjugators: inverse is the conjugate
-
+    us, ys = _rotate_to_complex(xs)
     cells = decompose_to_real(p)
     live = [(s, t) for s in range(4) for t in range(4)
             if np.any(cells[s, t] != 0.0)]
     rows = np.array([cells[s, t] for s, t in live], dtype=np.complex128)
-    vals = complexpoly._multieval_rows(rows, ys)
+    w = _rotate_back(us, complexpoly._multieval_rows(rows, ys))
 
     out = np.zeros((n_pts, 4))
-    emb = np.zeros((n_pts, 4))
     for idx, (s, t) in enumerate(live):
-        emb[:, 0] = vals[idx].real
-        emb[:, 1] = vals[idx].imag
-        w = qmul(qmul(uinv, emb), us)
-        out += qmul(qmul(_BASIS_ARR[s], w), _BASIS_ARR[t])
+        out += qmul(qmul(_BASIS_ARR[s], w[idx]), _BASIS_ARR[t])
     return to_quaternions(out)
+
+
+def _rotate_to_complex(xs):
+    """Unit conjugators u as an (n, 4) array and the complex images
+    y = u x u^-1 of the quaternion points `xs`.
+
+    Raises NonFiniteValue for a point that is not finite, or whose
+    imaginary norm overflows.
+    """
+    us = np.empty((len(xs), 4))
+    ys = np.empty(len(xs), dtype=np.complex128)
+    for l, x in enumerate(xs):
+        u, y = rotation_to_complex(x)
+        us[l] = u.components()
+        ys[l] = complex(y.re, y.im_i)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        raise NonFiniteValue(f"point {bad[0]} is not finite: {xs[bad[0]]}")
+    return us, ys
+
+
+def _rotate_back(us, vals):
+    """u^-1 v u for complex values `vals` (..., n) at the points rotated by
+    the (n, 4) conjugators `us`, as a (..., n, 4) array.
+
+    Raises NonFiniteValue when a value overflowed.
+    """
+    bad = np.nonzero(~np.isfinite(vals))[-1]
+    if bad.size:
+        raise NonFiniteValue(f"value at point {bad[0]} is not finite")
+    uinv = us.copy()
+    uinv[:, 1:] = -uinv[:, 1:]  # unit conjugators: inverse is the conjugate
+    emb = np.zeros(vals.shape + (4,))
+    emb[..., 0] = vals.real
+    emb[..., 1] = vals.imag
+    return qmul(qmul(uinv, emb), us)
 
 
 def multieval_naive(p, xs) -> list:
@@ -333,7 +361,8 @@ def interpolate(xs, ys) -> OneSidedPoly:
     into a 4n x 4n system over the coefficient components and solved with
     partial pivoting.  Raises InfeasiblePoints when the node criterion
     fails and NumericallySingular when the factorization degenerates
-    anyway.
+    anyway or the residual max_l |p(x_l) - y_l| of the computed solution
+    exceeds TOL_RESIDUAL times max_l |y_l|.
     """
     xs = list(xs)
     ys = list(ys)
@@ -351,15 +380,22 @@ def interpolate(xs, ys) -> OneSidedPoly:
         for m in range(n):
             system[4 * l:4 * l + 4, 4 * m:4 * m + 4] = \
                 _right_mul_matrix(Quaternion(*powers[l, m]))
-    rhs = from_quaternions(ys).ravel()
+    values = from_quaternions(ys)
     lu, piv = scipy.linalg.lu_factor(system)
     diag = np.abs(np.diag(lu))
     if np.min(diag) <= TOL_PIVOT * max(np.max(diag), 1e-300):
         raise NumericallySingular(
             f"pivot ratio {np.min(diag) / max(np.max(diag), 1e-300):.2e} "
             "below tolerance despite feasible nodes")
-    sol = scipy.linalg.lu_solve((lu, piv), rhs)
-    return OneSidedPoly.from_components(sol.reshape(n, 4))
+    sol = scipy.linalg.lu_solve((lu, piv), values.ravel()).reshape(n, 4)
+    resid = np.sum(qmul(sol, powers), axis=1) - values
+    worst = float(np.max(np.linalg.norm(resid, axis=1)))
+    scale = float(np.max(np.linalg.norm(values, axis=1)))
+    if not worst <= TOL_RESIDUAL * scale:
+        raise NumericallySingular(
+            f"interpolation residual {worst:.2e} exceeds {TOL_RESIDUAL:g} "
+            f"of the largest value {scale:.2e}")
+    return OneSidedPoly.from_components(sol)
 
 
 # -- N-body kernel --------------------------------------------------------------
@@ -382,12 +418,7 @@ def nbody_multieval(poles, xs) -> list:
         return [Quaternion() for _ in xs]
     if not xs:
         return []
-    us = np.empty((len(xs), 4))
-    ys = np.empty(len(xs), dtype=np.complex128)
-    for l, x in enumerate(xs):
-        u, y = rotation_to_complex(x)
-        us[l] = u.components()
-        ys[l] = complex(y.re, y.im_i)
+    us, ys = _rotate_to_complex(xs)
     # the nearest real pole to y is a neighbour of Re(y) in sorted order
     srt = np.sort(poles)
     right = np.minimum(np.searchsorted(srt, ys.real), srt.size - 1)
@@ -399,13 +430,7 @@ def nbody_multieval(poles, xs) -> list:
             f"point {bad[0]} reduces within {TOL_POLE} of a pole")
 
     ratio = complexpoly.cauchy_line_sum(poles, np.ones_like(poles), ys)
-
-    uinv = us.copy()
-    uinv[:, 1:] = -uinv[:, 1:]
-    emb = np.zeros((len(xs), 4))
-    emb[:, 0] = ratio.real
-    emb[:, 1] = ratio.imag
-    return to_quaternions(qmul(qmul(uinv, emb), us))
+    return to_quaternions(_rotate_back(us, ratio))
 
 
 def nbody_naive(poles, xs) -> list:

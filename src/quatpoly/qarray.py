@@ -1,8 +1,10 @@
-"""Vectorized quaternion kernels on ``(..., 4)`` float arrays.
+"""Vectorized quaternion kernels on ``(..., 4)`` component arrays.
 
 Internal support for the sequence/polynomial modules; the scalar API lives
 in `quaternion`.  Component order is (re, i, j, k) and broadcasting follows
-numpy rules.
+numpy rules.  Components are real, or complex for spectra: the DFT is
+linear over the reals, so the Hamilton product of two component spectra
+is the spectrum of the convolution product.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from .quaternion import Quaternion
 
 
 def qmul(a, b):
-    """Broadcast Hamilton product of component arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Broadcast Hamilton product of real or complex component arrays."""
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    b = np.asarray(b, dtype=complex if np.iscomplexobj(b) else float)
     a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack([

@@ -5,9 +5,10 @@ A sequence is a ring element in its own right; there is deliberately no
 evaluation operation here, because substituting a point into a coefficient
 sequence does not commute with the convolution product over quaternions.
 
-The fast product splits both operands into their four real component
-sequences, runs the 16 real convolutions through the FFT, and recombines
-them with the basis sign table; the naive double loop stays as the oracle.
+The fast product transforms the four real component sequences of each
+operand with real FFTs, multiplies the spectra pointwise as quaternions
+with complex components, and transforms back; the naive double loop
+stays as the oracle.
 """
 
 from __future__ import annotations
@@ -84,28 +85,23 @@ def convolve_naive(a: QSeq, b: QSeq) -> QSeq:
 
 
 def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
-    """FFT convolution from 16 real convolutions and 12 sequence additions.
+    """FFT convolution: real transforms of the four component sequences,
+    the Hamilton product of the spectra, one inverse transform.
 
-    Componentwise, with conv(s, t) the real convolution of component s of
-    `a` with component t of `b`, the basis products recombine exactly like
-    a single quaternion product.  Matches `convolve_naive` up to rounding.
+    Matches `convolve_naive` up to rounding.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return QSeq()
     out_len = n + m - 1
     size = complexpoly._next_pow2(out_len)
-    fa = complexpoly.fft(complexpoly._pad_last(a.comps.T, size))
-    fb = complexpoly.fft(complexpoly._pad_last(b.comps.T, size))
-    spectra = fa[:, None, :] * fb[None, :, :]
-    conv = complexpoly.fft(spectra.reshape(16, size), inverse=True)[:, :out_len]
-    conv = conv.real.reshape(4, 4, out_len)
-    out = np.empty((out_len, 4))
-    out[:, 0] = conv[0, 0] - conv[1, 1] - conv[2, 2] - conv[3, 3]
-    out[:, 1] = conv[0, 1] + conv[1, 0] + conv[2, 3] - conv[3, 2]
-    out[:, 2] = conv[0, 2] + conv[2, 0] + conv[3, 1] - conv[1, 3]
-    out[:, 3] = conv[0, 3] + conv[3, 0] + conv[1, 2] - conv[2, 1]
-    return QSeq.from_components(out)
+    # one block for both spectra and their product: freed separately, large
+    # temporaries go back to the OS and fault in again on every call
+    work = np.empty((3, size // 2 + 1, 4), dtype=np.complex128)
+    np.fft.rfft(a.comps, n=size, axis=0, out=work[0])
+    np.fft.rfft(b.comps, n=size, axis=0, out=work[1])
+    work[2] = qmul(work[0], work[1])
+    return QSeq.from_components(np.fft.irfft(work[2], n=size, axis=0)[:out_len])
 
 
 def random_qseq(n: int, rng, scale: float = 1.0) -> QSeq:

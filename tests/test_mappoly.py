@@ -77,6 +77,24 @@ def test_mul_fast_matches_naive():
     assert mp.random_quadruple(3, rng).mul_fast(z).is_zero()
 
 
+def test_mul_fast_unequal_and_prime_extents():
+    # product boxes (3, 4, 3, 5) and (11, 2, 5, 13): mostly prime extents
+    rng = np.random.default_rng(17)
+    for ea, eb in [((3, 1, 2, 5), (1, 4, 2, 1)), ((7, 2, 3, 6), (5, 1, 3, 8))]:
+        a = mp.RPoly4(rng.uniform(-1, 1, ea))
+        b = mp.RPoly4(rng.uniform(-1, 1, eb))
+        fast, naive = a.mul_fast(b).table, a.mul_naive(b).table
+        assert fast.shape == naive.shape
+        assert np.max(np.abs(fast - naive)) <= 1e-12 * np.max(np.abs(naive))
+        # components of one factor with different boxes of their own
+        p = mp.QuadruplePoly([mp.RPoly4(rng.uniform(-1, 1, e))
+                              for e in (ea, eb, (1, 1, 1, 1), ea)])
+        q = mp.QuadruplePoly([mp.RPoly4(rng.uniform(-1, 1, e))
+                              for e in (eb, eb, ea, (2, 1, 1, 3))])
+        naive = p.mul_naive(q)
+        assert mp.max_coeff_diff(p.mul_fast(q), naive) <= 1e-12 * mp.coeff_scale(naive)
+
+
 def test_degree_examples_and_additivity():
     rng = np.random.default_rng(4)
     # product shaped a1 + X a2 X X a3 + a4 X X X a5 has degree 3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quatpoly import onesided as os_
-from quatpoly.errors import InfeasiblePoints, PoleCollision
+from quatpoly.errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
 from quatpoly.quaternion import (
     I, J, K, Quaternion, apply_automorphism, random_quaternion, rotation_to_complex,
 )
@@ -214,6 +214,28 @@ def test_interpolate_round_trip():
     assert np.max(np.abs(recovered.comps - planted.comps)) <= 1e-6 * scale
 
 
+def test_interpolate_checks_its_residual():
+    # random nodes in the 0.9-ball: the LU pivot guard passes at both sizes,
+    # but at n=60 the solution misses the values by far more than 1e-8
+    def ball(rng):
+        while True:
+            c = rng.uniform(-0.9, 0.9, 4)
+            if np.linalg.norm(c) <= 0.9:
+                return Quaternion(*c)
+
+    for n in (20, 60):
+        rng = np.random.default_rng(0)
+        xs = [ball(rng) for _ in range(n)]
+        ys = [random_quaternion(rng) for _ in range(n)]
+        if n == 60:
+            with pytest.raises(NumericallySingular, match="residual"):
+                os_.interpolate(xs, ys)
+        else:
+            p = os_.interpolate(xs, ys)
+            worst = max((g - y).norm() for g, y in zip(os_.multieval_naive(p, xs), ys))
+            assert worst <= 1e-8 * max(y.norm() for y in ys)
+
+
 def test_interpolating_zeros_gives_zero_polynomial():
     # vanishing at deg+1 distinct reals forces every coefficient to zero
     rng = np.random.default_rng(11)
@@ -286,3 +308,25 @@ def test_vandermonde_invertible_stays_finite_for_large_systems():
            apply_automorphism(Quaternion(-1, 1, 0, 2), xs6[0])]
     assert not os_.interpolation_feasible(bad)
     assert not os_.vandermonde_invertible(bad)
+
+
+@pytest.mark.parametrize("entry", ["multieval", "nbody"])
+def test_non_finite_points_raise(entry):
+    call = {"multieval": lambda xs: os_.multieval_fast(x2_plus_1(), xs),
+            "nbody": lambda xs: os_.nbody_multieval([0.0, 0.5], xs)}[entry]
+    for bad in (Quaternion(0.1, np.inf, 0, 0.2), Quaternion(np.nan, 0, 0, 0),
+                Quaternion(0.3, 0, 0, -np.inf), Quaternion(0, 1e308, 1e308, 0)):
+        with pytest.raises(NonFiniteValue):
+            call([Quaternion(0.3, 0.1, 0.2, 0), bad])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_values_raise():
+    # |y|^4095 overflows at |y| = 1.2, so the value is not representable
+    rng = np.random.default_rng(16)
+    y = 1.2 * np.exp(0.7j)
+    p = os_.random_one_sided(4096, rng)
+    with pytest.raises(NonFiniteValue):
+        os_.multieval_fast(p, [Quaternion(0.1, 0.2, 0.3, 0.1), Quaternion(y.real, y.imag)])
+    with pytest.raises(NonFiniteValue):
+        os_.nbody_multieval([0.0, np.nan], [Quaternion(0.3, 0.1, 0.2, 0)])

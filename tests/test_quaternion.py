@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quatpoly.errors import ParseError, ZeroConjugator
+from quatpoly.qarray import qmul
 from quatpoly.quaternion import (
     BASIS, I, J, K, ONE, Quaternion, apply_automorphism, auto_equivalent,
     format_quaternion, parse_quaternion, random_quaternion, rotation_to_complex,
@@ -182,3 +183,21 @@ def test_format_styles():
     assert format_quaternion(Quaternion(0, -1)) == "-i"
     assert format_quaternion(Quaternion(1.5, 0, 0, -1)) == "1.5-k"
     assert format_quaternion(BASIS[2]) == "j"
+
+
+def test_qmul_complex_components_bilinear():
+    # spectra carry complex components: qmul must keep them and stay
+    # bilinear over the complex numbers in each argument
+    rng = np.random.default_rng(18)
+    a, a2, b, b2 = (rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+                    for _ in range(4))
+    s, t = 0.7 - 1.3j, -0.2 + 2.1j
+    out = qmul(a, b)
+    assert out.dtype == np.complex128
+    assert np.allclose(qmul(s * a + t * a2, b), s * out + t * qmul(a2, b), atol=1e-12)
+    assert np.allclose(qmul(a, s * b + t * b2), s * out + t * qmul(a, b2), atol=1e-12)
+    # real and imaginary parts split into four real products
+    want = (qmul(a.real, b.real) - qmul(a.imag, b.imag)
+            + 1j * (qmul(a.real, b.imag) + qmul(a.imag, b.real)))
+    assert np.allclose(out, want, atol=1e-12)
+    assert qmul([0, 1, 0, 0], [0, 0, 1, 0]).tolist() == [0.0, 0.0, 0.0, 1.0]

@@ -49,6 +49,10 @@ def test_convolve_fast_matches_naive():
         a = random_qseq(n, rng)
         b = random_qseq(max(1, n // 2), rng)
         assert rel_diff(convolve_fast(a, b), convolve_naive(a, b)) <= 1e-9
+    # n + m - 1 = 2^k + 1, one past a power of two, in both orders
+    for n, m in ((17, 17), (20, 14), (3, 31), (257, 257), (313, 201)):
+        a, b = random_qseq(n, rng), random_qseq(m, rng)
+        assert rel_diff(convolve_fast(a, b), convolve_naive(a, b)) <= 1e-9
 
 
 def test_unit_identity_fast():
