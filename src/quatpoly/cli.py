@@ -17,6 +17,7 @@ import numpy as np
 from . import expr as expr_mod
 from . import fileio, mappoly, onesided, seqpoly
 from .errors import ParseError, QuatPolyError
+from .qarray import to_quaternions
 from .quaternion import format_quaternion, parse_quaternion, random_quaternion
 
 
@@ -111,10 +112,20 @@ def _bench_mul1(n, rng):
     return lambda: p.mul_fast(q)
 
 
+def _bench_nbody(n, rng):
+    poles = rng.uniform(-1.0, 1.0, n)
+    # uniform in the unit 4-ball: a random direction at radius U^(1/4)
+    pts = rng.standard_normal((n, 4))
+    pts *= (rng.uniform(0.0, 1.0, n) ** 0.25 / np.linalg.norm(pts, axis=1))[:, None]
+    xs = to_quaternions(pts)
+    return lambda: onesided.nbody_multieval(poles, xs)
+
+
 _BENCH_OPS = {
     "convolve": _bench_convolve,
     "multieval": _bench_multieval,
     "mul1": _bench_mul1,
+    "nbody": _bench_nbody,
 }
 
 

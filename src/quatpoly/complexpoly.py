@@ -42,8 +42,9 @@ _TOP_BINS = 16
 #: multipole truncation order (separation ratio <= ~1/3)
 _MP_TERMS = 20
 
-#: targets per chunk when sweeping multipole expansions
-_EVAL_CHUNK = 2048
+#: targets per block of the hierarchy's evaluation matrix: bounds its
+#: memory when many targets share one leaf bin
+_EVAL_CHUNK = 256
 
 #: targets this close to a circle node are evaluated by plain Horner
 _NODE_GUARD = 3e-8
@@ -190,18 +191,10 @@ def _circle_eval_rows(rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out[..., deep] = _horner_rows(head, ys[deep])
     if np.any(ann):
         ya = ys[ann]
-        s = _cauchy_sum(weights, nodes, ya)
+        dense = ya.size * N <= _DENSE_LIMIT or N // _LEAF_SOURCES < _TOP_BINS
+        s = (_cauchy_dense if dense else _cauchy_multipole)(weights, nodes, ya)
         out[..., ann] = (ya ** N - 1.0) * s
     return out
-
-
-def _cauchy_sum(weights: np.ndarray, nodes: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """sum_k weights[..., k] / (y - nodes[k]) for targets in the annulus."""
-    N = nodes.shape[0]
-    t = ys.shape[0]
-    if t * N <= _DENSE_LIMIT or N // _LEAF_SOURCES < _TOP_BINS:
-        return _cauchy_dense(weights, nodes, ys)
-    return _cauchy_multipole(weights, nodes, ys)
 
 
 def _cauchy_dense(weights, nodes, ys):
@@ -263,53 +256,59 @@ def _cauchy_tree(sources, t_src, weights, ys, t_ys, curve, periodic):
     bins directly.  `periodic` closes the curve (the circle); otherwise
     it is a segment and bins past its ends do not exist.
 
-    Expansion tables are laid out (bin, term, row) so that per-target
-    gathers copy one contiguous block per bin and the Horner sweep reads
-    sequentially.  Bin n_bins is all zeros and stands in for dropped bins.
+    The targets of one leaf bin share both lists.  In blocks of at most
+    _EVAL_CHUNK of them, one matrix product of [1/(y - s) | powers of
+    1/(y - c)] with the near weights stacked on the far bins' moments
+    gives every row at once (s a near source, c a far bin's centre).
     """
     n_rows, n_src = weights.shape
-    n_targets = ys.shape[0]
     n_leaf = _next_pow2(max(n_src // _LEAF_SOURCES, _TOP_BINS))
     src_leaf = np.minimum((t_src * n_leaf).astype(np.intp), n_leaf - 1)
     leaf_bounds = np.searchsorted(src_leaf, np.arange(n_leaf + 1))
-    t_leaf = np.minimum((np.clip(t_ys, 0.0, 1.0) * n_leaf).astype(np.intp), n_leaf - 1)
-    far, near = _interaction_lists(t_leaf, n_leaf, periodic)
+    far, near = _interaction_lists(np.arange(n_leaf), n_leaf, periodic)
 
-    out = np.zeros((n_rows, n_targets), dtype=np.complex128)
+    # table[b, m, r] = sum over bin b of weights[r, k] (sources[k] - c_b)^m / rad^(m+1)
+    # for every level, whose bins start at global index n_bins - _TOP_BINS; the
+    # level's scale rad keeps moments and powers of rad / (y - c_b) in range
+    tables, centers, radii, far_bins = [], [], [], []
     for n_bins, bins in far:
-        # table[b, m, r] = sum of weights[r, k] (sources[k] - center_b)^m over bin b
         step = n_leaf // n_bins
         starts = leaf_bounds[::step]
         filled = np.flatnonzero(starts[1:] > starts[:-1])
-        centers = np.append(curve((np.arange(n_bins) + 0.5) / n_bins), 0.0)
-        d = sources - centers[src_leaf // step]
-        table = np.zeros((n_bins + 1, _MP_TERMS, n_rows), dtype=np.complex128)
-        cur = weights
+        centers.append(curve((np.arange(n_bins) + 0.5) / n_bins))
+        d = sources - centers[-1][src_leaf // step]
+        rad = np.max(np.abs(d)) or 1.0
+        d /= rad
+        tables.append(np.zeros((n_bins, _MP_TERMS, n_rows), dtype=np.complex128))
+        cur = weights / rad
         for m in range(_MP_TERMS):
-            table[filled, m, :] = np.add.reduceat(cur, starts[filled], axis=1).T
-            if m + 1 < _MP_TERMS:
-                cur = cur * d
+            tables[-1][filled, m, :] = np.add.reduceat(cur, starts[filled], axis=1).T
+            cur = cur * d
+        radii.append(np.full(n_bins, rad))
+        far_bins.append(np.where(bins < n_bins, bins + n_bins - _TOP_BINS, -1))
+    table, centers, radii, far_bins = map(np.concatenate, (tables, centers, radii, far_bins))
 
-        # Horner in 1/(y - center), summed over the stacked bin axis
-        inv_full = np.divide(1.0, ys - centers[bins], where=bins < n_bins,
-                             out=np.zeros(bins.shape, dtype=np.complex128))
-        for lo in range(0, n_targets, _EVAL_CHUNK):
-            sl = slice(lo, lo + _EVAL_CHUNK)
-            gath = table[bins[:, sl]]            # (k, chunk, P, rows)
-            inv = inv_full[:, sl, None]
-            acc = gath[:, :, _MP_TERMS - 1, :]
-            for m in range(_MP_TERMS - 2, -1, -1):
-                acc = acc * inv + gath[:, :, m, :]
-            out[:, sl] += np.sum(acc * inv, axis=0).T
-
-    # near field: targets grouped by leaf bin, direct sum over the near bins
+    # per block of targets in one leaf bin: [1/(y - s) | (rad / (y - c))^(m+1)]
+    # times the near weights stacked on the far moments
+    t_leaf = np.minimum((np.clip(t_ys, 0.0, 1.0) * n_leaf).astype(np.intp), n_leaf - 1)
     order = np.argsort(t_leaf, kind="stable")
-    cuts = np.flatnonzero(np.diff(t_leaf[order])) + 1
-    for sel in np.split(order, cuts):
+    group = np.searchsorted(t_leaf[order], np.arange(n_leaf + 1))
+    out = np.empty((n_rows, ys.shape[0]), dtype=np.complex128)
+    for leaf in np.flatnonzero(group[1:] > group[:-1]):
+        f = far_bins[far_bins[:, leaf] >= 0, leaf]
         cols = np.concatenate([np.arange(leaf_bounds[b], leaf_bounds[b + 1])
-                               for b in near[:, sel[0]] if b < n_leaf])
-        inv = 1.0 / (ys[sel][:, None] - sources[cols])
-        out[:, sel] += weights[:, cols] @ inv.T
+                               for b in near[:, leaf] if b < n_leaf])
+        rhs = np.concatenate([weights.T[cols], table[f].transpose(1, 0, 2).reshape(-1, n_rows)])
+        for lo in range(group[leaf], group[leaf + 1], _EVAL_CHUNK):
+            sel = order[lo:min(lo + _EVAL_CHUNK, group[leaf + 1])]
+            y = ys[sel, None]
+            v = np.empty((sel.size, rhs.shape[0]), dtype=np.complex128)
+            v[:, :cols.size] = 1.0 / (y - sources[cols])
+            powers = v[:, cols.size:].reshape(sel.size, _MP_TERMS, f.size)
+            np.divide(radii[f], y - centers[f], out=powers[:, 0])
+            for m in range(1, _MP_TERMS):
+                np.multiply(powers[:, m - 1], powers[:, 0], out=powers[:, m])
+            out[:, sel] = (v @ rhs).T
     return out
 
 

@@ -169,7 +169,10 @@ def multieval_fast(p, xs) -> list:
     live = [(s, t) for s in range(4) for t in range(4)
             if np.any(cells[s, t] != 0.0)]
     rows = np.array([cells[s, t] for s, t in live], dtype=np.complex128)
-    w = _rotate_back(us, complexpoly._multieval_rows(rows, ys))
+    # a value that overflows raises NonFiniteValue in _rotate_back
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = complexpoly._multieval_rows(rows, ys)
+    w = _rotate_back(us, vals)
 
     out = np.zeros((n_pts, 4))
     for idx, (s, t) in enumerate(live):
@@ -359,8 +362,9 @@ def interpolate(xs, ys) -> OneSidedPoly:
 
     The n quaternion equations sum_m a_m x_l^m = y_l are real-linearized
     into a 4n x 4n system over the coefficient components and solved with
-    partial pivoting.  Raises InfeasiblePoints when the node criterion
-    fails and NumericallySingular when the factorization degenerates
+    partial pivoting.  Raises NonFiniteValue for a node or value that is
+    not finite or a node whose powers overflow, InfeasiblePoints when the node criterion fails and
+    NumericallySingular when the factorization degenerates
     anyway or the residual max_l |p(x_l) - y_l| of the computed solution
     exceeds TOL_RESIDUAL times max_l |y_l|.
     """
@@ -371,16 +375,23 @@ def interpolate(xs, ys) -> OneSidedPoly:
     n = len(xs)
     if n == 0:
         return OneSidedPoly()
+    values = from_quaternions(ys)
+    for name, qs, comps in (("node", xs, from_quaternions(xs)), ("value", ys, values)):
+        bad = np.flatnonzero(~np.all(np.isfinite(comps), axis=1))
+        if bad.size:
+            raise NonFiniteValue(f"{name} {bad[0]} is not finite: {qs[bad[0]]}")
     feas = interpolation_feasible(xs)
     if not feas:
         raise InfeasiblePoints(feas.reason)
     powers = _vandermonde(xs)
+    bad = np.flatnonzero(~np.all(np.isfinite(powers), axis=(1, 2)))
+    if bad.size:
+        raise NonFiniteValue(f"powers of node {bad[0]} overflow: {xs[bad[0]]}")
     system = np.zeros((4 * n, 4 * n))
     for l in range(n):
         for m in range(n):
             system[4 * l:4 * l + 4, 4 * m:4 * m + 4] = \
                 _right_mul_matrix(Quaternion(*powers[l, m]))
-    values = from_quaternions(ys)
     lu, piv = scipy.linalg.lu_factor(system)
     diag = np.abs(np.diag(lu))
     if np.min(diag) <= TOL_PIVOT * max(np.max(diag), 1e-300):
@@ -414,6 +425,9 @@ def nbody_multieval(poles, xs) -> list:
     """
     poles = np.asarray(list(poles), dtype=float)
     xs = list(xs)
+    bad = np.flatnonzero(~np.isfinite(poles))
+    if bad.size:
+        raise NonFiniteValue(f"pole {bad[0]} is not finite: {poles[bad[0]]}")
     if poles.size == 0:
         return [Quaternion() for _ in xs]
     if not xs:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,70 @@ def test_cauchy_line_sum_clustered_sources():
         want[base:base + 256] = (w / (chunk[:, None] - src)).sum(axis=1)
     floor = 1e-9 * np.abs(w).sum()
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), floor)) <= 1e-8
+
+
+def test_clustered_targets_bounded_memory():
+    # every target in one leaf bin: the hierarchy works through them in
+    # blocks, so its memory does not grow with the size of the cluster
+    rng = np.random.default_rng(30)
+    n = 1 << 14
+    rows = rng.uniform(-1, 1, (4, n)).astype(complex)
+    ys = rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi / 512, n))
+    tracemalloc.start()
+    try:
+        got = cp._circle_eval_rows(rows, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+    pick = rng.choice(n, 64, replace=False)
+    want = cp._horner_rows(rows, ys[pick])
+    assert np.max(np.abs(got[:, pick] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_multipole_targets_on_leaf_boundaries():
+    # targets at curve parameter k / n_leaf sit on the seam of two leaf
+    # bins; either side's lists must give the dense sum, for all 16 rows
+    rng = np.random.default_rng(31)
+    N = 1 << 13
+    nodes = cp._circle_nodes(N)
+    w = rng.standard_normal((16, N)) + 1j * rng.standard_normal((16, N))
+    n_leaf = N // cp._LEAF_SOURCES
+    seams = np.exp(-2j * np.pi * np.arange(n_leaf) / n_leaf)
+    ys = (rng.uniform(0.5, 0.99, (8, 1)) * seams).ravel()
+    got = cp._cauchy_multipole(w, nodes, ys)
+    want = cp._cauchy_dense(w, nodes, ys)
+    scale = np.abs(w) @ (1.0 / np.abs(ys[:, None] - nodes)).T
+    assert np.max(np.abs(got - want) / scale) <= 1e-10
+
+
+def test_cauchy_line_sum_targets_beyond_segment_ends():
+    # targets past either end of the open segment: the bins beyond it are
+    # dropped from their lists
+    rng = np.random.default_rng(32)
+    src = rng.uniform(-1, 1, 5000)
+    w = rng.uniform(-1, 1, 5000)
+    re = np.concatenate([rng.uniform(-4, -1.01, 1000), rng.uniform(1.01, 4, 1000)])
+    ys = re + 1j * rng.uniform(0, 1, 2000)
+    got = cp.cauchy_line_sum(src, w, ys)
+    want = cp._cauchy_dense(w, src, ys)
+    scale = (np.abs(w) / np.abs(ys[:, None] - src)).sum(axis=1)
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_cauchy_line_sum_is_scale_free(scale):
+    # the hierarchy scales each level's moments: unscaled, the twentieth
+    # power of 1/(y - c) overflows or the moments underflow long before
+    # the sources and targets leave the double range
+    rng = np.random.default_rng(33)
+    src = scale * rng.uniform(-1, 1, 5000)
+    w = rng.uniform(-1, 1, 5000)
+    ys = scale * (rng.uniform(-1.2, 1.2, 2000) + 1j * rng.uniform(1e-3, 1, 2000))
+    got = cp.cauchy_line_sum(src, w, ys)
+    want = cp._cauchy_dense(w, src, ys)
+    bound = (np.abs(w) / np.abs(ys[:, None] - src)).sum(axis=1)
+    assert np.max(np.abs(got - want) / bound) <= 1e-10
 
 
 def charge_counts(n_leaf, periodic):

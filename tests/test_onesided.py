@@ -236,6 +236,17 @@ def test_interpolate_checks_its_residual():
             assert worst <= 1e-8 * max(y.norm() for y in ys)
 
 
+@pytest.mark.parametrize("xs, ys, culprit", [
+    ([Quaternion(0), Quaternion(0.5, np.inf)], [ONE, ONE], "node 1"),
+    ([Quaternion(0), Quaternion(1)], [ONE, Quaternion(np.nan)], "value 1"),
+    # finite, but its square overflows
+    ([Quaternion(0), Quaternion(1e200), Quaternion(1, 1)], [ONE] * 3, "node 1"),
+])
+def test_interpolate_rejects_non_finite(xs, ys, culprit):
+    with pytest.raises(NonFiniteValue, match=culprit):
+        os_.interpolate(xs, ys)
+
+
 def test_interpolating_zeros_gives_zero_polynomial():
     # vanishing at deg+1 distinct reals forces every coefficient to zero
     rng = np.random.default_rng(11)
@@ -320,13 +331,14 @@ def test_non_finite_points_raise(entry):
             call([Quaternion(0.3, 0.1, 0.2, 0), bad])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_values_raise():
-    # |y|^4095 overflows at |y| = 1.2, so the value is not representable
+    # |y|^4095 overflows at |y| = 1.2, so the value is not representable;
+    # the library error comes without numpy warnings on the way
     rng = np.random.default_rng(16)
     y = 1.2 * np.exp(0.7j)
     p = os_.random_one_sided(4096, rng)
     with pytest.raises(NonFiniteValue):
         os_.multieval_fast(p, [Quaternion(0.1, 0.2, 0.3, 0.1), Quaternion(y.real, y.imag)])
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue, match="pole 1"):
         os_.nbody_multieval([0.0, np.nan], [Quaternion(0.3, 0.1, 0.2, 0)])
