@@ -112,6 +112,13 @@ def _bench_mul1(n, rng):
     return lambda: p.mul_fast(q)
 
 
+def _bench_affine(n, rng):
+    p = mappoly.random_quadruple(n, rng)
+    t = rng.uniform(-1.0, 1.0, (4, 4)) + 2.0 * np.eye(4)
+    off = rng.uniform(-1.0, 1.0, 4)
+    return lambda: p.affine_substitute(t, off)
+
+
 def _bench_nbody(n, rng):
     poles = rng.uniform(-1.0, 1.0, n)
     # uniform in the unit 4-ball: a random direction at radius U^(1/4)
@@ -122,6 +129,7 @@ def _bench_nbody(n, rng):
 
 
 _BENCH_OPS = {
+    "affine": _bench_affine,
     "convolve": _bench_convolve,
     "multieval": _bench_multieval,
     "mul1": _bench_mul1,

@@ -11,6 +11,13 @@ tables with a four-dimensional real FFT on the product box, multiplies the
 spectra pointwise as quaternions with complex components, and transforms
 back.  The schoolbook scatter product stays as the oracle.
 
+A grid's affine image x -> M.x + b is evaluated by substituting the map
+into the coefficient tables, then evaluating the result axis by axis on
+the grid.  The substitution is a Taylor shift by b, one binomial matrix
+per axis, followed by M = P.L.U applied as an axis permutation and
+elementary shears x_i -> x_i + c x_j and axis scalings; it costs
+O(d (d+1)^4) for degree d and accepts every M, singular ones included.
+
 Degrees are total degrees; the degree of a quadruple is the maximum over
 its components, which matches half the total degree of the component sum
 of squares because squares of reals cannot cancel.  Coefficients count
@@ -21,19 +28,27 @@ whole quadruple.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lu
 
 from . import complexpoly
-from .errors import EmptySampleSet, ParseError, SingularTransform
+from .errors import EmptySampleSet, NonFiniteValue, ParseError, SingularTransform
 from .qarray import qmul
 from .quaternion import Quaternion
 
 #: entries below this fraction of the largest one do not count for degrees
 DEGREE_TRIM_REL = 1e-9
 
-#: determinant threshold for rejecting an affine grid transform
+#: reciprocal condition number below which an affine grid transform is rejected
 TOL_SINGULAR = 1e-12
 
 NEG_INF = float("-inf")
+
+
+def _finite(name: str, value) -> np.ndarray:
+    arr = np.asarray(value)
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValue(f"non-finite affine {name}")
+    return arr
 
 
 def _simplex_mask(degree: int) -> np.ndarray:
@@ -292,21 +307,34 @@ class QuadruplePoly:
         return out if cplx else out.real
 
     def affine_substitute(self, matrix, offset) -> "QuadruplePoly":
-        """Composition with the affine coordinate map x -> matrix.x + offset."""
-        t = np.asarray(matrix, dtype=float).reshape(4, 4)
-        y = np.asarray(offset, dtype=float).reshape(4)
+        """Composition with the affine coordinate map x -> matrix.x + offset.
+
+        Every matrix is accepted, singular ones included; a non-finite
+        matrix or offset raises NonFiniteValue.
+        """
+        t = _finite("matrix", matrix).astype(float).reshape(4, 4)
+        y = _finite("offset", offset).astype(float).reshape(4)
         deg = self.degree
-        if deg is NEG_INF or deg < 0:
+        if deg == NEG_INF:
             return QuadruplePoly.zero()
-        box = (int(deg) + 1,) * 4
-        lins = [(y[m], t[m, 0], t[m, 1], t[m, 2], t[m, 3]) for m in range(4)]
-        return QuadruplePoly(
-            [RPoly4(_subst_table(c.table, lins, box)) for c in self.comps])
+        size = int(deg) + 1
+        crop = (slice(size),) * 4
+        stacked = np.stack([c.padded(np.maximum(c.extents, size))[crop]
+                            for c in self.comps], axis=-1)
+        stacked[~_simplex_mask(size - 1)] = 0.0
+        tables = _subst_table(stacked, t, y)
+        return QuadruplePoly([RPoly4(tables[..., m]) for m in range(4)])
 
     def affine_grid_multieval(self, matrix, offset, axes):
-        """Values on the image of a grid under a regular affine map."""
-        t = np.asarray(matrix, dtype=float).reshape(4, 4)
-        if abs(np.linalg.det(t)) <= TOL_SINGULAR:
+        """Values on the image of a grid under a regular affine map.
+
+        Raises SingularTransform when the condition number of the matrix
+        exceeds 1 / TOL_SINGULAR, and NonFiniteValue on a non-finite
+        matrix, offset or grid axis.
+        """
+        t = _finite("matrix", matrix).astype(float).reshape(4, 4)
+        axes = [_finite(f"grid axis {m}", a) for m, a in enumerate(axes)]
+        if np.linalg.cond(t) > 1.0 / TOL_SINGULAR:
             raise SingularTransform("affine grid transform is numerically singular")
         return self.affine_substitute(t, offset).grid_multieval(axes)
 
@@ -380,33 +408,60 @@ def _eval_axis(work: np.ndarray, axis: int, pts: np.ndarray) -> np.ndarray:
     return np.moveaxis(vals.reshape((len(pts),) + moved.shape[1:]), 0, axis)
 
 
-def _subst_table(table: np.ndarray, lins, box) -> np.ndarray:
-    """Simultaneous affine substitution by nested Horner over the axes."""
+def _subst_table(tables: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Coefficients of p(matrix.z + offset) from the stacked component
+    tables of p, shape (d+1,)*4 + (4,), supported on the degree-d simplex.
 
-    def mul_linear(tab, lin):
-        c0, t0, t1, t2, t3 = lin
-        out = tab * c0
-        for m, tm in enumerate((t0, t1, t2, t3)):
-            if tm != 0.0:
-                src = [slice(None)] * 4
-                dst = [slice(None)] * 4
-                src[m] = slice(0, box[m] - 1)
-                dst[m] = slice(1, box[m])
-                out[tuple(dst)] += tm * tab[tuple(src)]
-        return out
+    With T_A p = p(A.), T_AB = T_B o T_A.  So after the Taylor shift by the
+    offset, matrix = P.L.U is applied as T_U o T_L o T_P: an axis
+    permutation, L's shears column 0 first, then U's rows 3 down to 0,
+    each its shears followed by an axis scaling.  No pivot is divided by,
+    so singular matrices substitute as well as regular ones.
+    """
+    size = tables.shape[0]
+    for m in range(4):
+        tables = np.moveaxis(
+            np.tensordot(_shift_matrix(offset[m], size), tables, axes=(1, m)), 0, m)
+    perm, lower, upper = lu(matrix)
+    tables = np.transpose(tables, tuple(perm.argmax(axis=0)) + (4,))
+    for j in range(3):
+        for i in range(j + 1, 4):
+            tables = _shear(tables, i, j, lower[i, j])
+    for i in range(3, -1, -1):
+        for j in range(i + 1, 4):
+            tables = _shear(tables, i, j, upper[i, j])
+        tables = tables * (upper[i, i] ** np.arange(size)).reshape((size,) + (1,) * (4 - i))
+    return tables
 
-    def subst(sub, axis):
-        if axis == 4:
-            out = np.zeros(box)
-            out[0, 0, 0, 0] = sub
-            return out
-        acc = None
-        for e in range(sub.shape[0] - 1, -1, -1):
-            term = subst(sub[e], axis + 1)
-            acc = term if acc is None else mul_linear(acc, lins[axis]) + term
-        return acc
 
-    return subst(table, 0)
+def _shift_matrix(c: float, size: int) -> np.ndarray:
+    """S[k, n] = C(n, k) c^(n-k): coefficients of p(x + c) from those of p(x).
+
+    Column n holds (x + c)^n, built from column n - 1 as Pascal's rule does.
+    """
+    s = np.zeros((size, size))
+    s[0, 0] = 1.0
+    for n in range(1, size):
+        s[:, n] = c * s[:, n - 1]
+        s[1:, n] += s[:-1, n - 1]
+    return s
+
+
+def _shear(tables: np.ndarray, i: int, j: int, c: float) -> np.ndarray:
+    """Coefficients with x_i replaced by x_i + c x_j.
+
+    The shear keeps the degree n + m in the (i, j) plane, so once (n, m) is
+    skewed to (n, n + m) it is the Taylor shift by c along axis i.
+    """
+    size = tables.shape[0]
+    n, m = np.nonzero(np.add.outer(np.arange(size), np.arange(size)) < size)
+    skew = np.zeros_like(tables)
+    plane = np.moveaxis(skew, (i, j), (0, 1))
+    plane[n, n + m] = np.moveaxis(tables, (i, j), (0, 1))[n, m]
+    plane = np.tensordot(_shift_matrix(c, size), plane, axes=1)
+    out = np.zeros_like(tables)
+    np.moveaxis(out, (i, j), (0, 1))[n, m] = plane[n, n + m]
+    return out
 
 
 def random_quadruple(degree: int, rng, scale: float = 1.0) -> QuadruplePoly:

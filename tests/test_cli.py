@@ -160,6 +160,20 @@ def test_bench_csv(capsys):
     assert code == 0
 
 
+def test_bench_affine_scaling(capsys):
+    # the Taylor shift and the shears each cost O(d (d+1)^4) on the
+    # (d+1)^4 box, so doubling the degree may cost at most 1.5 times
+    # ((d2+1)/(d1+1))^5: 28 for 4 -> 8 and 36 for 8 -> 16; an O(d^7)
+    # substitution would read about 86 for 8 -> 16
+    sizes = [4, 8, 16]
+    code, out, _ = run_main(capsys, ["bench", "--op", "affine", "--sizes",
+                                     ",".join(map(str, sizes)), "--repeats", "5"])
+    assert code == 0
+    times = [float(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]]
+    for (d1, t1), (d2, t2) in zip(zip(sizes, times), zip(sizes[1:], times[1:])):
+        assert t2 / t1 <= 1.5 * ((d2 + 1) / (d1 + 1)) ** 5, (d1, d2, t2 / t1)
+
+
 @pytest.mark.skipif(shutil.which("quatpoly") is None,
                     reason="console script not installed")
 def test_installed_entry_point():

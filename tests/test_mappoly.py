@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quatpoly import mappoly as mp
-from quatpoly.errors import EmptySampleSet, ParseError, SingularTransform
+from quatpoly.errors import EmptySampleSet, NonFiniteValue, ParseError, SingularTransform
 from quatpoly.quaternion import I, J, K, Quaternion, random_quaternion
 
 ONE = Quaternion(1)
@@ -206,14 +206,81 @@ def test_affine_substitute():
     want = mp.QuadruplePoly([mp.RPoly4.axis_variable(0) + mp.RPoly4.constant(0.7),
                              mp.RPoly4.zero(), mp.RPoly4.zero(), mp.RPoly4.zero()])
     assert mp.max_coeff_diff(shifted, want) <= 1e-14
-    t = rng.uniform(-1, 1, (4, 4))
+    # the zero matrix leaves the constant p(offset)
+    off = rng.uniform(-1, 1, 4)
+    const = p.affine_substitute(np.zeros((4, 4)), off)
+    assert const.degree == 0
+    value = p.evaluate(Quaternion(*off))
+    assert mp.max_coeff_diff(const, mp.QuadruplePoly.constant(value)) <= 1e-14 * value.norm()
+
+
+def _affine_matrices():
+    rng = np.random.default_rng(16)
+    rand = rng.uniform(-1, 1, (4, 4))
+    return {
+        # unit lower with |l_ij| < 1: partial pivoting leaves P = U = I
+        "lower": np.eye(4) + np.tril(rng.uniform(-0.9, 0.9, (4, 4)), -1),
+        "upper": np.triu(rng.uniform(-1, 1, (4, 4))),
+        # a 4-cycle, so a permutation applied inverted shows
+        "permutation": np.eye(4)[[2, 0, 3, 1]],
+        "zeros": np.zeros((4, 4)),
+        "rank2": rng.uniform(-1, 1, (4, 2)) @ rng.uniform(-1, 1, (2, 4)),
+        "small": 5e-4 * np.eye(4),
+        "random": rand,
+        "random+2I": rand + 2.0 * np.eye(4),
+    }
+
+
+AFFINE_MATRICES = _affine_matrices()
+
+
+@pytest.mark.parametrize("degree", [6, 16])
+@pytest.mark.parametrize("name", sorted(AFFINE_MATRICES))
+def test_affine_substitute_matches_pointwise(name, degree):
+    # a shear applied in the wrong order still gives a plausible table,
+    # so compare values of p(t.z + off), not shapes
+    t = AFFINE_MATRICES[name]
+    rng = np.random.default_rng(17)
+    p = mp.random_quadruple(degree, rng)
     off = rng.uniform(-1, 1, 4)
     sub = p.affine_substitute(t, off)
-    for _ in range(100):
+    for _ in range(20):
         z = rng.uniform(-1, 1, 4)
         got = sub.evaluate(Quaternion(*z))
         want = p.evaluate(Quaternion(*(t @ z + off)))
         assert (got - want).norm() <= 1e-7 * max(1.0, want.norm())
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_MATRICES))
+def test_affine_substitute_coefficient_oracle(name):
+    # sum_e c_e prod_m L_m^e_m with L_m = off_m + sum_j t[m, j] X_j,
+    # multiplied out by schoolbook products
+    t = AFFINE_MATRICES[name]
+    rng = np.random.default_rng(18)
+    degree = 4
+    p = mp.random_quadruple(degree, rng)
+    off = rng.uniform(-1, 1, 4)
+    powers = []
+    for m in range(4):
+        lin = mp.RPoly4.constant(off[m])
+        for j in range(4):
+            lin = lin + mp.RPoly4.axis_variable(j).scale(t[m, j])
+        pw = [mp.RPoly4.constant(1.0)]
+        for _ in range(degree):
+            pw.append(pw[-1].mul_naive(lin))
+        powers.append(pw)
+    want = [mp.RPoly4.zero() for _ in range(4)]
+    for e in np.ndindex((degree + 1,) * 4):
+        if sum(e) > degree:
+            continue
+        mono = powers[0][e[0]]
+        for m in range(1, 4):
+            mono = mono.mul_naive(powers[m][e[m]])
+        for k, comp in enumerate(p.comps):
+            want[k] = want[k] + mono.scale(comp.table[e])
+    want = mp.QuadruplePoly(want)
+    got = p.affine_substitute(t, off)
+    assert mp.max_coeff_diff(got, want) <= 1e-12 * mp.coeff_scale(want)
 
 
 def test_affine_grid_multieval():
@@ -232,6 +299,44 @@ def test_affine_grid_multieval():
         assert np.max(np.abs(grid[idx] - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
     with pytest.raises(SingularTransform):
         p.affine_grid_multieval(np.zeros((4, 4)), np.zeros(4), axes)
+
+
+def test_affine_grid_singularity_is_scale_free():
+    rng = np.random.default_rng(19)
+    p = mp.random_quadruple(3, rng)
+    axes = [rng.uniform(-1, 1, 2) for _ in range(4)]
+    off = rng.uniform(-1, 1, 4)
+    # condition number 1, determinant 6.25e-14
+    small = 5e-4 * np.eye(4)
+    grid = p.affine_grid_multieval(small, off, axes)
+    for idx in np.ndindex(2, 2, 2, 2):
+        g = np.array([axes[m][idx[m]] for m in range(4)])
+        want = np.array(p.evaluate(Quaternion(*(small @ g + off))).components())
+        assert np.max(np.abs(grid[idx] - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+    # condition number 2e13, determinant 1e11
+    near = 1e6 * np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1e-13]])
+    for t in (near, np.zeros((4, 4))):
+        with pytest.raises(SingularTransform):
+            p.affine_grid_multieval(t, off, axes)
+
+
+@pytest.mark.filterwarnings("error")
+def test_affine_non_finite_input_raises():
+    p = mp.random_quadruple(2, np.random.default_rng(20))
+    axes = [np.linspace(-1, 1, 3) for _ in range(4)]
+    bad_matrix = np.eye(4)
+    bad_matrix[1, 2] = np.nan
+    bad_axes = [axes[0], axes[1], np.array([0.0, np.inf, 1.0]), axes[3]]
+    with pytest.raises(NonFiniteValue, match="matrix"):
+        p.affine_substitute(bad_matrix, np.zeros(4))
+    with pytest.raises(NonFiniteValue, match="offset"):
+        p.affine_substitute(np.eye(4), [0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(NonFiniteValue, match="matrix"):
+        p.affine_grid_multieval(bad_matrix, np.zeros(4), axes)
+    with pytest.raises(NonFiniteValue, match="offset"):
+        p.affine_grid_multieval(np.eye(4), [np.inf, 0.0, 0.0, 0.0], axes)
+    with pytest.raises(NonFiniteValue, match="grid axis 2"):
+        p.affine_grid_multieval(np.eye(4), np.zeros(4), bad_axes)
 
 
 def test_random_zero_witness():
@@ -308,7 +413,6 @@ def test_grid_multieval_complex_abscissae():
 
 
 def test_affine_substitute_high_degree():
-    # deeper nested-Horner recursion than the default cases exercise
     rng = np.random.default_rng(15)
     p = mp.random_quadruple(7, rng)
     t = rng.uniform(-1, 1, (4, 4))
