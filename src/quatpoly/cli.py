@@ -119,18 +119,34 @@ def _bench_affine(n, rng):
     return lambda: p.affine_substitute(t, off)
 
 
-def _bench_nbody(n, rng):
-    poles = rng.uniform(-1.0, 1.0, n)
-    # uniform in the unit 4-ball: a random direction at radius U^(1/4)
+def _unit_ball(n, rng):
+    """n quaternions uniform in the unit 4-ball: random directions at radius U^(1/4)."""
     pts = rng.standard_normal((n, 4))
     pts *= (rng.uniform(0.0, 1.0, n) ** 0.25 / np.linalg.norm(pts, axis=1))[:, None]
-    xs = to_quaternions(pts)
+    return to_quaternions(pts)
+
+
+def _bench_nbody(n, rng):
+    poles = rng.uniform(-1.0, 1.0, n)
+    xs = _unit_ball(n, rng)
     return lambda: onesided.nbody_multieval(poles, xs)
+
+
+def _bench_interpolate(n, rng):
+    # nodes cos(2 pi k/n) + sin(2 pi k/n) w_k for random unit pure w_k:
+    # complex images on the unit circle, at most two nodes per class
+    ang = 2.0 * np.pi * np.arange(n) / n
+    w = rng.standard_normal((n, 3))
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    xs = to_quaternions(np.column_stack([np.cos(ang), np.sin(ang)[:, None] * w]))
+    ys = _unit_ball(n, rng)
+    return lambda: onesided.interpolate(xs, ys)
 
 
 _BENCH_OPS = {
     "affine": _bench_affine,
     "convolve": _bench_convolve,
+    "interpolate": _bench_interpolate,
     "multieval": _bench_multieval,
     "mul1": _bench_mul1,
     "nbody": _bench_nbody,

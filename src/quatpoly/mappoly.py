@@ -47,7 +47,7 @@ NEG_INF = float("-inf")
 def _finite(name: str, value) -> np.ndarray:
     arr = np.asarray(value)
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"non-finite affine {name}")
+        raise NonFiniteValue(f"non-finite {name}")
     return arr
 
 
@@ -292,28 +292,34 @@ class QuadruplePoly:
         abscissa values (fast multipoint evaluation once both the degree
         and the point count warrant it).  Returns an array of shape
         (len A0, ..., len A3, 4), complex if any abscissa is complex.
+        A non-finite abscissa or value raises NonFiniteValue.
         """
-        axes = [np.atleast_1d(np.asarray(a)) for a in axes]
+        axes = [_finite(f"grid axis {m}", np.atleast_1d(np.asarray(a)))
+                for m, a in enumerate(axes)]
         if len(axes) != 4:
             raise ValueError("grid_multieval needs four abscissa sequences")
         cplx = any(np.iscomplexobj(a) for a in axes)
         outs = []
-        for c in self.comps:
-            work = c.table.astype(np.complex128)
-            for m in range(4):
-                work = _eval_axis(work, m, axes[m])
-            outs.append(work)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in self.comps:
+                work = c.table.astype(np.complex128)
+                for m in range(4):
+                    work = _eval_axis(work, m, axes[m])
+                outs.append(work)
         out = np.stack(outs, axis=-1)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteValue("grid values overflow")
         return out if cplx else out.real
 
     def affine_substitute(self, matrix, offset) -> "QuadruplePoly":
         """Composition with the affine coordinate map x -> matrix.x + offset.
 
         Every matrix is accepted, singular ones included; a non-finite
-        matrix or offset raises NonFiniteValue.
+        matrix or offset, or substituted coefficients that overflow, raise
+        NonFiniteValue.
         """
-        t = _finite("matrix", matrix).astype(float).reshape(4, 4)
-        y = _finite("offset", offset).astype(float).reshape(4)
+        t = _finite("affine matrix", matrix).astype(float).reshape(4, 4)
+        y = _finite("affine offset", offset).astype(float).reshape(4)
         deg = self.degree
         if deg == NEG_INF:
             return QuadruplePoly.zero()
@@ -322,7 +328,11 @@ class QuadruplePoly:
         stacked = np.stack([c.padded(np.maximum(c.extents, size))[crop]
                             for c in self.comps], axis=-1)
         stacked[~_simplex_mask(size - 1)] = 0.0
-        tables = _subst_table(stacked, t, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = _subst_table(stacked, t, y)
+        if not np.all(np.isfinite(tables)):
+            raise NonFiniteValue("coefficients substituted by the affine matrix "
+                                 "and offset overflow")
         return QuadruplePoly([RPoly4(tables[..., m]) for m in range(4)])
 
     def affine_grid_multieval(self, matrix, offset, axes):
@@ -332,8 +342,7 @@ class QuadruplePoly:
         exceeds 1 / TOL_SINGULAR, and NonFiniteValue on a non-finite
         matrix, offset or grid axis.
         """
-        t = _finite("matrix", matrix).astype(float).reshape(4, 4)
-        axes = [_finite(f"grid axis {m}", a) for m, a in enumerate(axes)]
+        t = _finite("affine matrix", matrix).astype(float).reshape(4, 4)
         if np.linalg.cond(t) > 1.0 / TOL_SINGULAR:
             raise SingularTransform("affine grid transform is numerically singular")
         return self.affine_substitute(t, offset).grid_multieval(axes)

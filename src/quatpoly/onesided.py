@@ -3,9 +3,8 @@
 A one-sided polynomial keeps every coefficient to the left of its power,
 sum a_l X^l; the two-sided form carries a pair per power, sum a_l X^l b_l.
 Neither class is closed under multiplication, so no product is offered;
-what they do support is fast multi-evaluation, interpolation with the
-Vandermonde feasibility criterion, root-form evaluation, and the
-real-pole N-body kernel.
+what they do support is fast multi-evaluation, interpolation, root-form
+evaluation, and the real-pole N-body kernel.
 
 Fast multi-evaluation reduces quaternion points to complex ones: conjugation
 by a unit u rotates x into the span of 1 and i while fixing the reals, so a
@@ -13,6 +12,9 @@ real-coefficient polynomial satisfies q(x) = u^-1 q(y) u.  A two-sided
 polynomial splits over the basis into at most sixteen real-coefficient
 polynomials, each multi-evaluated on the rotated points with the classical
 complex machinery and recombined per point.
+
+Interpolation checks its nodes by their conjugation invariants, then solves
+the 2n x 2n complex representation of the quaternion Vandermonde system.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import scipy.linalg
 from . import complexpoly
 from .errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
 from .qarray import from_quaternions, qmul, to_quaternions
-from .quaternion import TOL_EQ, Quaternion, auto_equivalent, rotation_to_complex
+from .quaternion import TOL_EQ, Quaternion, rotation_to_complex
 
 #: |det| below 1e-9 x (Hadamard row bound) counts as a vanishing determinant
 TOL_DET_REL = 1e-9
@@ -251,54 +253,54 @@ class Feasibility:
 
 
 def interpolation_feasible(xs, tol: float = TOL_EQ) -> Feasibility:
-    """Pairwise distinct and no three points mutually conjugate-equivalent."""
-    xs = list(xs)
-    n = len(xs)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (xs[a] - xs[b]).norm() <= tol:
-                return Feasibility(False, f"points {a} and {b} coincide")
-    # group by the conjugation invariants (real part, imaginary norm)
-    parent = list(range(n))
+    """Pairwise distinct and no three points mutually conjugate-equivalent.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if auto_equivalent(xs[a], xs[b], tol):
-                parent[find(a)] = find(b)
-    sizes: dict[int, int] = {}
-    for a in range(n):
-        r = find(a)
-        sizes[r] = sizes.get(r, 0) + 1
-        if sizes[r] >= 3:
-            members = [b for b in range(n) if find(b) == r]
-            return Feasibility(
-                False,
-                "three points are automorphically equivalent: "
-                + ", ".join(str(m) for m in members[:3]))
+    `xs` is an iterable of Quaternion or an (n, 4) component array.  Two
+    points are equivalent when their conjugation invariants, the real part
+    and the imaginary norm, agree within `tol`.  Coinciding points are
+    equivalent, so only equivalent pairs are measured; and a chain of
+    equivalences holds three points exactly when one point has two
+    equivalent partners.
+    """
+    pts = xs if isinstance(xs, np.ndarray) else from_quaternions(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = pts[:, 0]
+        im = np.hypot(np.hypot(pts[:, 1], pts[:, 2]), pts[:, 3])  # no overflow
+        equiv = ((np.abs(re[:, None] - re) <= tol)
+                 & (np.abs(im[:, None] - im) <= tol))
+        np.fill_diagonal(equiv, False)
+        first, second = np.nonzero(np.triu(equiv))
+        close = np.flatnonzero(np.linalg.norm(pts[first] - pts[second], axis=1) <= tol)
+    if close.size:
+        a, b = first[close[0]], second[close[0]]
+        return Feasibility(False, f"points {a} and {b} coincide")
+    crowded = np.flatnonzero(np.sum(equiv, axis=1) >= 2)
+    if crowded.size:
+        a = crowded[0]
+        members = sorted([a, *np.flatnonzero(equiv[a])[:2]])
+        return Feasibility(
+            False,
+            "three points are automorphically equivalent: "
+            + ", ".join(str(m) for m in members))
     return Feasibility(True)
 
 
-def _vandermonde(xs) -> np.ndarray:
-    """(n, n, 4) power table, row l holding 1, x_l, x_l^2, ..."""
-    n = len(xs)
+def _vandermonde(pts: np.ndarray) -> np.ndarray:
+    """(n, n, 4) power table of the (n, 4) nodes, row l holding 1, x_l, x_l^2, ...
+
+    Powers that overflow come out inf or nan, silently; callers check.
+    """
+    n = pts.shape[0]
     v = np.zeros((n, n, 4))
-    for l, x in enumerate(xs):
-        power = Quaternion(1.0)
-        for m in range(n):
-            if m:
-                power = power * x
-            v[l, m] = power.components()
+    v[:, 0, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n):
+            v[:, m] = qmul(v[:, m - 1], pts)
     return v
 
 
 def _complex_rep(v: np.ndarray) -> np.ndarray:
-    """Standard 2x2 complex block representation of a quaternion matrix."""
+    """Standard 2x2 complex block representation chi of a quaternion matrix."""
     z1 = v[..., 0] + 1j * v[..., 1]
     z2 = v[..., 2] + 1j * v[..., 3]
     n, m = z1.shape
@@ -319,7 +321,7 @@ def double_determinant(xs) -> float:
     xs = list(xs)
     if not xs:
         return 1.0
-    return float(abs(np.linalg.det(_complex_rep(_vandermonde(xs)))))
+    return float(abs(np.linalg.det(_complex_rep(_vandermonde(from_quaternions(xs))))))
 
 
 def vandermonde_invertible(xs) -> bool:
@@ -335,7 +337,7 @@ def vandermonde_invertible(xs) -> bool:
     xs = list(xs)
     if not xs:
         return True
-    rep = _complex_rep(_vandermonde(xs))
+    rep = _complex_rep(_vandermonde(from_quaternions(xs)))
     sign, logdet = np.linalg.slogdet(rep)
     if sign == 0.0 or not np.isfinite(logdet):
         return False
@@ -346,27 +348,21 @@ def vandermonde_invertible(xs) -> bool:
     return logdet > np.log(TOL_DET_REL) + log_hadamard
 
 
-def _right_mul_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix R with vec(a * q) = R @ vec(a)."""
-    q0, q1, q2, q3 = q.components()
-    return np.array([
-        [q0, -q1, -q2, -q3],
-        [q1, q0, q3, -q2],
-        [q2, -q3, q0, q1],
-        [q3, q2, -q1, q0],
-    ])
-
-
 def interpolate(xs, ys) -> OneSidedPoly:
     """The unique p with deg p < n and p(x_l) = y_l.
 
-    The n quaternion equations sum_m a_m x_l^m = y_l are real-linearized
-    into a 4n x 4n system over the coefficient components and solved with
-    partial pivoting.  Raises NonFiniteValue for a node or value that is
-    not finite or a node whose powers overflow, InfeasiblePoints when the node criterion fails and
-    NumericallySingular when the factorization degenerates
-    anyway or the residual max_l |p(x_l) - y_l| of the computed solution
-    exceeds TOL_RESIDUAL times max_l |y_l|.
+    With z1 = a0 + i a1 and z2 = a2 + i a3, (z1, z2) is the first row of
+    chi(a) = [[z1, z2], [-conj z2, conj z1]], the block `_complex_rep`
+    builds.  As chi is multiplicative, the equations sum_m a_m x_l^m = y_l
+    become r W = (z1(y_0), z2(y_0), z1(y_1), ...) for r = (z1(a_0), z2(a_0),
+    z1(a_1), ...), where block (m, l) of the 2n x 2n matrix W is chi(x_l^m).
+    This is the real 4n x 4n system written over C, singular exactly when
+    that one is; W^T is factored once with partial pivoting.  Raises
+    NonFiniteValue for a node or value that is not finite or a node whose
+    powers overflow, InfeasiblePoints when the node criterion fails and
+    NumericallySingular when the factorization degenerates anyway or the
+    residual max_l |p(x_l) - y_l| of the computed solution exceeds
+    TOL_RESIDUAL times max_l |y_l|.
     """
     xs = list(xs)
     ys = list(ys)
@@ -375,30 +371,28 @@ def interpolate(xs, ys) -> OneSidedPoly:
     n = len(xs)
     if n == 0:
         return OneSidedPoly()
+    nodes = from_quaternions(xs)
     values = from_quaternions(ys)
-    for name, qs, comps in (("node", xs, from_quaternions(xs)), ("value", ys, values)):
+    for name, qs, comps in (("node", xs, nodes), ("value", ys, values)):
         bad = np.flatnonzero(~np.all(np.isfinite(comps), axis=1))
         if bad.size:
             raise NonFiniteValue(f"{name} {bad[0]} is not finite: {qs[bad[0]]}")
-    feas = interpolation_feasible(xs)
+    feas = interpolation_feasible(nodes)
     if not feas:
         raise InfeasiblePoints(feas.reason)
-    powers = _vandermonde(xs)
+    powers = _vandermonde(nodes)
     bad = np.flatnonzero(~np.all(np.isfinite(powers), axis=(1, 2)))
     if bad.size:
         raise NonFiniteValue(f"powers of node {bad[0]} overflow: {xs[bad[0]]}")
-    system = np.zeros((4 * n, 4 * n))
-    for l in range(n):
-        for m in range(n):
-            system[4 * l:4 * l + 4, 4 * m:4 * m + 4] = \
-                _right_mul_matrix(Quaternion(*powers[l, m]))
-    lu, piv = scipy.linalg.lu_factor(system)
+    lu, piv = scipy.linalg.lu_factor(_complex_rep(powers.transpose(1, 0, 2)).T)
     diag = np.abs(np.diag(lu))
     if np.min(diag) <= TOL_PIVOT * max(np.max(diag), 1e-300):
         raise NumericallySingular(
             f"pivot ratio {np.min(diag) / max(np.max(diag), 1e-300):.2e} "
             "below tolerance despite feasible nodes")
-    sol = scipy.linalg.lu_solve((lu, piv), values.ravel()).reshape(n, 4)
+    # viewed as complex, each component row (a0, a1, a2, a3) is (z1, z2)
+    r = scipy.linalg.lu_solve((lu, piv), values.view(np.complex128).ravel())
+    sol = r.view(np.float64).reshape(n, 4)
     resid = np.sum(qmul(sol, powers), axis=1) - values
     worst = float(np.max(np.linalg.norm(resid, axis=1)))
     scale = float(np.max(np.linalg.norm(values, axis=1)))

@@ -158,6 +158,10 @@ def test_bench_csv(capsys):
     code, out, _ = run_main(capsys, ["bench", "--op", "mul1",
                                      "--sizes", "2,3", "--repeats", "1"])
     assert code == 0
+    code, out, _ = run_main(capsys, ["bench", "--op", "interpolate",
+                                     "--sizes", "8,16", "--repeats", "1"])
+    assert code == 0
+    assert [int(ln.split(",")[0]) for ln in out.strip().splitlines()[1:]] == [8, 16]
 
 
 def test_bench_affine_scaling(capsys):

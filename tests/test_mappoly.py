@@ -337,6 +337,21 @@ def test_affine_non_finite_input_raises():
         p.affine_grid_multieval(np.eye(4), [np.inf, 0.0, 0.0, 0.0], axes)
     with pytest.raises(NonFiniteValue, match="grid axis 2"):
         p.affine_grid_multieval(np.eye(4), np.zeros(4), bad_axes)
+    # cond = 1, but the substituted coefficients overflow
+    huge = 1e200 * np.eye(4)
+    with pytest.raises(NonFiniteValue, match="matrix"):
+        p.affine_substitute(huge, np.zeros(4))
+    with pytest.raises(NonFiniteValue, match="matrix"):
+        p.affine_grid_multieval(huge, np.zeros(4), axes)
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_multieval_non_finite_raises():
+    p = mp.random_quadruple(2, np.random.default_rng(21))
+    with pytest.raises(NonFiniteValue, match="grid axis 0"):
+        p.grid_multieval([[np.inf], [0.5], [0.1], [0.2]])
+    with pytest.raises(NonFiniteValue, match="overflow"):
+        p.grid_multieval([[1e200], [0.5], [0.1], [0.2]])
 
 
 def test_random_zero_witness():

@@ -170,6 +170,35 @@ def test_interpolation_feasible():
     assert "equivalent" in res.reason
 
 
+def test_interpolation_feasible_chain():
+    # a ~ b and b ~ c within TOL_EQ, a and c apart: one class of three nodes
+    a = Quaternion(1, 1)
+    b = Quaternion(1 + 0.6e-9, 0, 1)
+    c = Quaternion(1 + 1.2e-9, 0, 0, 1)
+    assert os_.interpolation_feasible([a, b])
+    assert os_.interpolation_feasible([a, c])
+    for xs in ([a, b, c], [a, c, b], [b, c, a]):
+        res = os_.interpolation_feasible(xs)
+        assert not res and "equivalent" in res.reason
+        assert res.reason.endswith("0, 1, 2")
+    # the first coinciding pair in lexicographic order is reported
+    assert os_.interpolation_feasible([I, J, I, J]).reason == "points 0 and 2 coincide"
+
+
+def test_vandermonde_matches_quaternion_powers():
+    rng = np.random.default_rng(17)
+    xs = [random_quaternion(rng) for _ in range(7)]
+    want = np.zeros((7, 7, 4))
+    for l, x in enumerate(xs):
+        power = ONE
+        for m in range(7):
+            if m:
+                power = power * x
+            want[l, m] = power.components()
+    got = os_._vandermonde(np.array([x.components() for x in xs]))
+    np.testing.assert_array_equal(got, want)
+
+
 def test_double_determinant_examples():
     assert abs(os_.double_determinant([Quaternion(0), Quaternion(1)]) - 1.0) <= 1e-12
     assert os_.double_determinant([I, J, K]) <= 1e-9
@@ -236,6 +265,18 @@ def test_interpolate_checks_its_residual():
             assert worst <= 1e-8 * max(y.norm() for y in ys)
 
 
+def test_interpolate_round_trip_on_circle_images():
+    # one node per conjugacy class, images e^(i pi k/64) on the unit circle
+    rng = np.random.default_rng(18)
+    n = 64
+    ang = np.pi * np.arange(n) / n
+    xs = [float(np.cos(t)) + float(np.sin(t)) * unit_imaginary(rng) for t in ang]
+    planted = os_.random_one_sided(n, rng)
+    recovered = os_.interpolate(xs, os_.multieval_naive(planted, xs))
+    assert np.max(np.abs(recovered.comps - planted.comps)) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("xs, ys, culprit", [
     ([Quaternion(0), Quaternion(0.5, np.inf)], [ONE, ONE], "node 1"),
     ([Quaternion(0), Quaternion(1)], [ONE, Quaternion(np.nan)], "value 1"),
