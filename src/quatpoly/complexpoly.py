@@ -69,16 +69,15 @@ def _next_pow2(n: int) -> int:
 class CPoly:
     """Dense complex polynomial; ``coeffs[l]`` is the coefficient of Z^l.
 
-    Trailing coefficients of magnitude <= `trim_tol` are removed on
-    construction (default 0: only exact zeros go); the zero polynomial is
-    the empty sequence, with degree -1.
+    Trailing exact zeros are removed on construction; the zero polynomial
+    is the empty sequence, with degree -1.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), trim_tol: float = 0.0):
+    def __init__(self, coeffs=()):
         c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
-        keep = np.nonzero(np.abs(c) > trim_tol)[0]
+        keep = np.flatnonzero(c)
         self.coeffs = c[: keep[-1] + 1] if keep.size else c[:0]
 
     @property
@@ -113,25 +112,25 @@ def _horner_rows(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 # -- fast multipoint evaluation ----------------------------------------------
 
-def multipoint_eval(p: CPoly, pts, crossover: int = DEFAULT_CROSSOVER) -> np.ndarray:
+def multipoint_eval(p: CPoly, pts) -> np.ndarray:
     """Values of p at every point.
 
-    Point sets smaller than `crossover` (and polynomials of degree below
-    it) are evaluated by plain Horner; larger problems run through the
-    fast circle-sampling path.
+    Point sets smaller than DEFAULT_CROSSOVER (and polynomials of degree
+    below it) are evaluated by plain Horner; larger problems run through
+    the fast circle-sampling path.
     """
     pts = np.atleast_1d(np.asarray(pts, dtype=np.complex128))
     if pts.size == 0:
         return np.zeros(0, dtype=np.complex128)
-    return _multieval_rows(p.coeffs[None, :], pts, crossover)[0]
+    return _multieval_rows(p.coeffs[None, :], pts)[0]
 
 
-def _multieval_rows(rows: np.ndarray, pts, crossover: int = DEFAULT_CROSSOVER) -> np.ndarray:
+def _multieval_rows(rows: np.ndarray, pts) -> np.ndarray:
     """Batched multipoint evaluation; (k, n) coefficients -> (k, npts)."""
     pts = np.atleast_1d(np.asarray(pts, dtype=np.complex128))
     if rows.shape[-1] == 0:
         return np.zeros(rows.shape[:-1] + pts.shape, dtype=np.complex128)
-    if pts.size < crossover or rows.shape[-1] - 1 < crossover:
+    if pts.size < DEFAULT_CROSSOVER or rows.shape[-1] - 1 < DEFAULT_CROSSOVER:
         return _horner_rows(rows, pts)
     out = np.empty(rows.shape[:-1] + pts.shape, dtype=np.complex128)
     rho = np.abs(pts)

@@ -1,18 +1,20 @@
 """The ring of quaternion polynomial mappings.
 
-A mapping is stored as a quadruple of dense four-variate real polynomials:
+A mapping is a quadruple of dense four-variate real polynomials:
 component m gives the m-th basis coordinate of the value at
 x0 + i x1 + j x2 + k x3.  Every quadruple of real polynomials arises this
-way, so the type carries no membership predicate.
+way, so the type carries no membership predicate.  The quadruple is stored
+as one coefficient table of shape (e0, e1, e2, e3, 4), component m in
+``table[..., m]``; `QuadruplePoly.comps` are `RPoly4` views of it.
 
 Multiplication combines the sixteen pairwise component products with the
-basis sign table.  The fast path transforms each factor's four component
-tables with a four-dimensional real FFT on the product box, multiplies the
-spectra pointwise as quaternions with complex components, and transforms
-back.  The schoolbook scatter product stays as the oracle.
+basis sign table.  The fast path transforms each factor's table with a
+four-dimensional real FFT on the product box, multiplies the spectra
+pointwise as quaternions with complex components, and transforms back.
+The schoolbook scatter product of the components stays as the oracle.
 
 A grid's affine image x -> M.x + b is evaluated by substituting the map
-into the coefficient tables, then evaluating the result axis by axis on
+into the coefficient table, then evaluating the result axis by axis on
 the grid.  The substitution is a Taylor shift by b, one binomial matrix
 per axis, followed by M = P.L.U applied as an axis permutation and
 elementary shears x_i -> x_i + c x_j and axis scalings; it costs
@@ -56,7 +58,54 @@ def _simplex_mask(degree: int) -> np.ndarray:
     return idx <= degree
 
 
-class RPoly4:
+class _TablePoly:
+    """Ring operations on a dense coefficient table whose first four axes
+    are the exponents e0..e3; any trailing axes are carried along."""
+
+    __slots__ = ("table",)
+
+    @property
+    def extents(self):
+        return self.table.shape[:4]
+
+    @property
+    def degree(self):
+        """Total degree; -inf for zero, an integer otherwise.
+
+        Entries are trimmed against the largest coefficient of the whole
+        table, so a component holding only rounding residue of a
+        cancellation does not count.
+        """
+        return _trimmed_degree(self.table)
+
+    def is_zero(self) -> bool:
+        return not np.any(self.table)
+
+    def padded(self, shape) -> np.ndarray:
+        """A fresh copy of the table, zero-padded to the exponent box `shape`."""
+        out = np.zeros(tuple(shape) + self.table.shape[4:])
+        out[tuple(map(slice, self.extents))] = self.table
+        return out
+
+    def __add__(self, other):
+        shape = tuple(map(max, zip(self.extents, other.extents)))
+        return type(self)(self.padded(shape) + other.padded(shape))
+
+    def __sub__(self, other):
+        shape = tuple(map(max, zip(self.extents, other.extents)))
+        return type(self)(self.padded(shape) - other.padded(shape))
+
+    def __neg__(self):
+        return type(self)(-self.table)
+
+    def scale(self, s: float):
+        return type(self)(self.table * s)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(extents={self.extents}, degree={self.degree})"
+
+
+class RPoly4(_TablePoly):
     """Dense real polynomial in four variables.
 
     ``table[e0, e1, e2, e3]`` is the coefficient of X0^e0 X1^e1 X2^e2 X3^e3;
@@ -64,7 +113,7 @@ class RPoly4:
     simplex are simply zero.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ()
 
     def __init__(self, table):
         t = np.asarray(table, dtype=float)
@@ -88,36 +137,6 @@ class RPoly4:
         t[tuple(1 if m == axis else 0 for m in range(4))] = 1.0
         return cls(t)
 
-    @property
-    def extents(self):
-        return self.table.shape
-
-    @property
-    def degree(self):
-        """Total degree over entries above the relative trim threshold."""
-        return _trimmed_degree([self.table])
-
-    def is_zero(self) -> bool:
-        return not np.any(self.table)
-
-    def padded(self, shape) -> np.ndarray:
-        pad = [(0, s - cur) for s, cur in zip(shape, self.table.shape)]
-        return np.pad(self.table, pad)
-
-    def __add__(self, other):
-        shape = tuple(map(max, zip(self.extents, other.extents)))
-        return RPoly4(self.padded(shape) + other.padded(shape))
-
-    def __sub__(self, other):
-        shape = tuple(map(max, zip(self.extents, other.extents)))
-        return RPoly4(self.padded(shape) - other.padded(shape))
-
-    def __neg__(self):
-        return RPoly4(-self.table)
-
-    def scale(self, s: float) -> "RPoly4":
-        return RPoly4(self.table * s)
-
     def mul_naive(self, other: "RPoly4") -> "RPoly4":
         """Schoolbook product: scatter every coefficient pair."""
         return RPoly4(_scatter_mul(self.table, other.table))
@@ -127,26 +146,18 @@ class RPoly4:
         shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
         return RPoly4(_unpack(_pack(self.table, shape) * _pack(other.table, shape), shape))
 
-    def eval_at(self, coords) -> float:
-        pw = _power_vectors(self.extents, coords)
-        return float(np.einsum("abcd,a,b,c,d->", self.table, *pw))
 
-    def __repr__(self):
-        return f"RPoly4(extents={self.extents}, degree={self.degree})"
-
-
-def _trimmed_degree(tables):
-    """Largest total degree of an entry above DEGREE_TRIM_REL times the
-    largest entry of all the tables; -inf when they are all zero."""
-    peak = max(float(np.max(np.abs(t))) for t in tables)
+def _trimmed_degree(table):
+    """Largest total degree of an exponent tuple with an entry above
+    DEGREE_TRIM_REL times the largest entry of the table, trailing axes
+    included; -inf when the table is zero."""
+    mag = np.abs(table)
+    peak = float(np.max(mag))
     if peak == 0.0:
         return NEG_INF
-    out = NEG_INF
-    for t in tables:
-        mask = np.abs(t) > DEGREE_TRIM_REL * peak
-        if np.any(mask):
-            out = max(out, int(np.max(np.indices(t.shape).sum(axis=0)[mask])))
-    return out
+    mask = np.any(mag > DEGREE_TRIM_REL * peak, axis=tuple(range(4, table.ndim)))
+    degrees = np.indices(mask.shape).sum(axis=0)[mask]
+    return int(np.max(degrees)) if degrees.size else NEG_INF
 
 
 def _scatter_mul(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -192,72 +203,63 @@ def _combine16(prod):
     return h0, h1, h2, h3
 
 
-class QuadruplePoly:
-    """Quaternion polynomial mapping as four real four-variate components."""
+class QuadruplePoly(_TablePoly):
+    """Quaternion polynomial mapping: one table of shape (e0, e1, e2, e3, 4)
+    whose entry [e0, e1, e2, e3, m] is the coefficient of
+    X0^e0 X1^e1 X2^e2 X3^e3 in component m.
 
-    __slots__ = ("comps",)
+    Built from an (e0, e1, e2, e3, 4) ndarray, which is taken as the table
+    without a copy, or from four `RPoly4` components, which are zero-padded
+    to their common box.
+    """
+
+    __slots__ = ()
 
     def __init__(self, comps):
-        comps = tuple(comps)
-        if len(comps) != 4 or not all(isinstance(c, RPoly4) for c in comps):
-            raise ValueError("QuadruplePoly needs four RPoly4 components")
-        self.comps = comps
+        if isinstance(comps, np.ndarray):
+            t = np.asarray(comps, dtype=float)
+            if t.ndim != 5 or t.shape[-1] != 4:
+                raise ValueError("QuadruplePoly needs an (e0, e1, e2, e3, 4) table")
+        else:
+            comps = tuple(comps)
+            if len(comps) != 4 or not all(isinstance(c, RPoly4) for c in comps):
+                raise ValueError("QuadruplePoly needs four RPoly4 components")
+            shape = tuple(map(max, zip(*(c.extents for c in comps))))
+            t = np.stack([c.padded(shape) for c in comps], axis=-1)
+        self.table = t
 
     @classmethod
     def zero(cls) -> "QuadruplePoly":
-        return cls([RPoly4.zero() for _ in range(4)])
+        return cls(np.zeros((1, 1, 1, 1, 4)))
 
     @classmethod
     def constant(cls, a: Quaternion) -> "QuadruplePoly":
-        return cls([RPoly4.constant(c) for c in a.components()])
+        return cls(np.reshape(a.components(), (1, 1, 1, 1, 4)))
 
     @classmethod
     def variable(cls) -> "QuadruplePoly":
-        return cls([RPoly4.axis_variable(m) for m in range(4)])
+        t = np.zeros((2, 2, 2, 2, 4))
+        t[(*np.eye(4, dtype=int), np.arange(4))] = 1.0
+        return cls(t)
 
     @property
-    def degree(self):
-        """Total degree; -inf for the zero mapping, an integer otherwise.
-
-        Entries are trimmed against the largest coefficient of the whole
-        quadruple, so a component holding only rounding residue of a
-        cancellation does not count.
-        """
-        return _trimmed_degree([c.table for c in self.comps])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def __add__(self, other):
-        return QuadruplePoly([a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        return QuadruplePoly([a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return QuadruplePoly([-c for c in self.comps])
-
-    def scale(self, s: float) -> "QuadruplePoly":
-        return QuadruplePoly([c.scale(s) for c in self.comps])
+    def comps(self) -> tuple:
+        """The four components, as `RPoly4` views of the table."""
+        return tuple(RPoly4(self.table[..., m]) for m in range(4))
 
     def mul_naive(self, other: "QuadruplePoly") -> "QuadruplePoly":
-        prod = [[self.comps[s].mul_naive(other.comps[t]) for t in range(4)]
-                for s in range(4)]
+        prod = [[a.mul_naive(b) for b in other.comps] for a in self.comps]
         return QuadruplePoly(_combine16(prod))
 
     def mul_fast(self, other: "QuadruplePoly") -> "QuadruplePoly":
-        """FFT product: the four component spectra of each factor are
-        stacked on a trailing axis and multiplied pointwise as quaternions.
+        """FFT product: the spectra of both tables, components on the
+        trailing axis, are multiplied pointwise as quaternions.
         """
         if self.is_zero() or other.is_zero():
             return QuadruplePoly.zero()
-        ea = tuple(map(max, zip(*(c.extents for c in self.comps))))
-        eb = tuple(map(max, zip(*(c.extents for c in other.comps))))
-        shape = tuple(a + b - 1 for a, b in zip(ea, eb))
-        fa = _pack(np.stack([c.padded(ea) for c in self.comps], axis=-1), shape)
-        fb = _pack(np.stack([c.padded(eb) for c in other.comps], axis=-1), shape)
-        tables = _unpack(qmul(fa, fb), shape)
-        return QuadruplePoly([RPoly4(tables[..., m]) for m in range(4)])
+        shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
+        return QuadruplePoly(_unpack(qmul(_pack(self.table, shape),
+                                          _pack(other.table, shape)), shape))
 
     def __mul__(self, other):
         if isinstance(other, QuadruplePoly):
@@ -265,8 +267,8 @@ class QuadruplePoly:
         return NotImplemented
 
     def evaluate(self, x: Quaternion) -> Quaternion:
-        coords = x.components()
-        return Quaternion(*(c.eval_at(coords) for c in self.comps))
+        pw = _power_vectors(self.extents, x.components())
+        return Quaternion(*np.einsum("abcdm,a,b,c,d->m", self.table, *pw))
 
     def evaluate_with_bound(self, x: Quaternion):
         """Value together with the accumulated magnitude sum_|c| |x|^e.
@@ -274,23 +276,18 @@ class QuadruplePoly:
         The bound is the natural scale for deciding whether a computed
         value is a rounding residue of zero.
         """
-        coords = [abs(v) for v in x.components()]
-        bound = 0.0
-        vals = []
-        for c in self.comps:
-            pw = _power_vectors(c.extents, coords)
-            vals.append(c.eval_at(x.components()))
-            bound += float(np.einsum("abcd,a,b,c,d->", np.abs(c.table), *pw))
-        return Quaternion(*vals), bound
+        pw = _power_vectors(self.extents, [abs(v) for v in x.components()])
+        bound = float(np.einsum("abcdm,a,b,c,d->", np.abs(self.table), *pw))
+        return self.evaluate(x), bound
 
     # -- grids ---------------------------------------------------------------
 
     def grid_multieval(self, axes):
         """Values on the product grid axes[0] x ... x axes[3].
 
-        Each component table is contracted one axis at a time against the
-        abscissa values (fast multipoint evaluation once both the degree
-        and the point count warrant it).  Returns an array of shape
+        The table is contracted one axis at a time against the abscissa
+        values (fast multipoint evaluation once both the degree and the
+        point count warrant it).  Returns an array of shape
         (len A0, ..., len A3, 4), complex if any abscissa is complex.
         A non-finite abscissa or value raises NonFiniteValue.
         """
@@ -299,14 +296,10 @@ class QuadruplePoly:
         if len(axes) != 4:
             raise ValueError("grid_multieval needs four abscissa sequences")
         cplx = any(np.iscomplexobj(a) for a in axes)
-        outs = []
+        out = self.table.astype(np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in self.comps:
-                work = c.table.astype(np.complex128)
-                for m in range(4):
-                    work = _eval_axis(work, m, axes[m])
-                outs.append(work)
-        out = np.stack(outs, axis=-1)
+            for m in range(4):
+                out = _eval_axis(out, m, axes[m])
         if not np.all(np.isfinite(out)):
             raise NonFiniteValue("grid values overflow")
         return out if cplx else out.real
@@ -324,16 +317,14 @@ class QuadruplePoly:
         if deg == NEG_INF:
             return QuadruplePoly.zero()
         size = int(deg) + 1
-        crop = (slice(size),) * 4
-        stacked = np.stack([c.padded(np.maximum(c.extents, size))[crop]
-                            for c in self.comps], axis=-1)
-        stacked[~_simplex_mask(size - 1)] = 0.0
+        table = self.padded(np.maximum(self.extents, size))[(slice(size),) * 4]
+        table[~_simplex_mask(size - 1)] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = _subst_table(stacked, t, y)
-        if not np.all(np.isfinite(tables)):
+            table = _subst_table(table, t, y)
+        if not np.all(np.isfinite(table)):
             raise NonFiniteValue("coefficients substituted by the affine matrix "
                                  "and offset overflow")
-        return QuadruplePoly([RPoly4(tables[..., m]) for m in range(4)])
+        return QuadruplePoly(table)
 
     def affine_grid_multieval(self, matrix, offset, axes):
         """Values on the image of a grid under a regular affine map.
@@ -352,21 +343,17 @@ class QuadruplePoly:
     def to_text(self) -> str:
         """Table serialization: a degree-bound header line, then one
         ``e0 e1 e2 e3 c0 c1 c2 c3`` row per nonzero exponent tuple."""
-        shape = tuple(map(max, zip(*(c.extents for c in self.comps))))
-        stacked = np.stack([c.padded(shape) for c in self.comps], axis=-1)
-        bound = max(max(shape) - 1, 0)
-        lines = [str(bound)]
-        for e in np.argwhere(np.any(stacked != 0.0, axis=-1)):
-            coeffs = stacked[tuple(e)]
-            lines.append(" ".join(str(v) for v in e)
-                         + " " + " ".join(format(c, ".17g") for c in coeffs))
+        lines = [str(max(max(self.extents) - 1, 0))]
+        for e in np.argwhere(np.any(self.table != 0.0, axis=-1)):
+            lines.append(" ".join(str(v) for v in e) + " "
+                         + " ".join(format(c, ".17g") for c in self.table[tuple(e)]))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "QuadruplePoly":
         """Inverse of `to_text`; raises ParseError on malformed text.
 
-        The tables are sized from the rows present, not from the header,
+        The table is sized from the rows present, not from the header,
         which only bounds the exponents.
         """
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -396,13 +383,10 @@ class QuadruplePoly:
                 raise ParseError(f"duplicate exponent row: {ln!r}")
             rows[e] = coeffs
         shape = tuple(max((e[m] for e in rows), default=0) + 1 for m in range(4))
-        tables = np.zeros(shape + (4,))
+        table = np.zeros(shape + (4,))
         for e, coeffs in rows.items():
-            tables[e] = coeffs
-        return cls([RPoly4(tables[..., m]) for m in range(4)])
-
-    def __repr__(self):
-        return f"QuadruplePoly(degree={self.degree})"
+            table[e] = coeffs
+        return cls(table)
 
 
 def _eval_axis(work: np.ndarray, axis: int, pts: np.ndarray) -> np.ndarray:
@@ -418,8 +402,8 @@ def _eval_axis(work: np.ndarray, axis: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _subst_table(tables: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Coefficients of p(matrix.z + offset) from the stacked component
-    tables of p, shape (d+1,)*4 + (4,), supported on the degree-d simplex.
+    """Coefficients of p(matrix.z + offset) from the table of p, shape
+    (d+1,)*4 + (4,), supported on the degree-d simplex.
 
     With T_A p = p(A.), T_AB = T_B o T_A.  So after the Taylor shift by the
     offset, matrix = P.L.U is applied as T_U o T_L o T_P: an axis
@@ -474,15 +458,14 @@ def _shear(tables: np.ndarray, i: int, j: int, c: float) -> np.ndarray:
 
 
 def random_quadruple(degree: int, rng, scale: float = 1.0) -> QuadruplePoly:
-    """Random mapping with dense simplex coefficients uniform in [-scale, scale]."""
+    """Random mapping with dense simplex coefficients uniform in [-scale, scale].
+
+    The components are drawn one whole table after the other.
+    """
     if degree < 0:
         return QuadruplePoly.zero()
-    mask = _simplex_mask(degree)
-    comps = []
-    for _ in range(4):
-        t = rng.uniform(-scale, scale, size=(degree + 1,) * 4)
-        comps.append(RPoly4(np.where(mask, t, 0.0)))
-    return QuadruplePoly(comps)
+    t = rng.uniform(-scale, scale, size=(4,) + (degree + 1,) * 4)
+    return QuadruplePoly(np.where(_simplex_mask(degree)[..., None], np.moveaxis(t, 0, -1), 0.0))
 
 
 def default_sample_set(p: QuadruplePoly) -> np.ndarray:
@@ -508,13 +491,9 @@ def random_zero_witness(p: QuadruplePoly, sample_set, rng):
 
 def max_coeff_diff(p: QuadruplePoly, q: QuadruplePoly) -> float:
     """Largest componentwise coefficient difference (tables padded alike)."""
-    out = 0.0
-    for a, b in zip(p.comps, q.comps):
-        shape = tuple(map(max, zip(a.extents, b.extents)))
-        out = max(out, float(np.max(np.abs(a.padded(shape) - b.padded(shape)))))
-    return out
+    return float(np.max(np.abs((p - q).table)))
 
 
 def coeff_scale(p: QuadruplePoly) -> float:
     """Largest absolute coefficient across the four components."""
-    return max(float(np.max(np.abs(c.table))) for c in p.comps)
+    return float(np.max(np.abs(p.table)))

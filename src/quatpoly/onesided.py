@@ -285,10 +285,28 @@ def interpolation_feasible(xs, tol: float = TOL_EQ) -> Feasibility:
     return Feasibility(True)
 
 
+def _node_powers(xs):
+    """(n, 4) array of the nodes and their `_vandermonde` power table.
+
+    Raises NonFiniteValue for a node that is not finite or whose powers
+    overflow.
+    """
+    nodes = from_quaternions(xs)
+    bad = np.flatnonzero(~np.all(np.isfinite(nodes), axis=1))
+    if bad.size:
+        raise NonFiniteValue(f"node {bad[0]} is not finite: {xs[bad[0]]}")
+    powers = _vandermonde(nodes)
+    bad = np.flatnonzero(~np.all(np.isfinite(powers), axis=(1, 2)))
+    if bad.size:
+        raise NonFiniteValue(f"powers of node {bad[0]} overflow: {xs[bad[0]]}")
+    return nodes, powers
+
+
 def _vandermonde(pts: np.ndarray) -> np.ndarray:
     """(n, n, 4) power table of the (n, 4) nodes, row l holding 1, x_l, x_l^2, ...
 
-    Powers that overflow come out inf or nan, silently; callers check.
+    Powers that overflow come out inf or nan, silently; `_node_powers`
+    checks.
     """
     n = pts.shape[0]
     v = np.zeros((n, n, 4))
@@ -316,12 +334,13 @@ def double_determinant(xs) -> float:
     """|det| of the complex representation of the power matrix (x_l^m).
 
     Vanishes exactly when the quaternion Vandermonde matrix is singular,
-    i.e. when interpolation through the points fails.
+    i.e. when interpolation through the points fails.  Raises
+    NonFiniteValue for a node that is not finite or whose powers overflow.
     """
     xs = list(xs)
     if not xs:
         return 1.0
-    return float(abs(np.linalg.det(_complex_rep(_vandermonde(from_quaternions(xs))))))
+    return float(abs(np.linalg.det(_complex_rep(_node_powers(xs)[1]))))
 
 
 def vandermonde_invertible(xs) -> bool:
@@ -332,12 +351,13 @@ def vandermonde_invertible(xs) -> bool:
     logarithms so large systems cannot overflow the comparison.  Power
     matrices condition themselves out of double precision as the point
     count grows, so as a feasibility test this is a small-set tool; the
-    node criterion in `interpolation_feasible` has no such limit.
+    node criterion in `interpolation_feasible` has no such limit.  Raises
+    NonFiniteValue for a node that is not finite or whose powers overflow.
     """
     xs = list(xs)
     if not xs:
         return True
-    rep = _complex_rep(_vandermonde(from_quaternions(xs)))
+    rep = _complex_rep(_node_powers(xs)[1])
     sign, logdet = np.linalg.slogdet(rep)
     if sign == 0.0 or not np.isfinite(logdet):
         return False
@@ -371,19 +391,14 @@ def interpolate(xs, ys) -> OneSidedPoly:
     n = len(xs)
     if n == 0:
         return OneSidedPoly()
-    nodes = from_quaternions(xs)
+    nodes, powers = _node_powers(xs)
     values = from_quaternions(ys)
-    for name, qs, comps in (("node", xs, nodes), ("value", ys, values)):
-        bad = np.flatnonzero(~np.all(np.isfinite(comps), axis=1))
-        if bad.size:
-            raise NonFiniteValue(f"{name} {bad[0]} is not finite: {qs[bad[0]]}")
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
+    if bad.size:
+        raise NonFiniteValue(f"value {bad[0]} is not finite: {ys[bad[0]]}")
     feas = interpolation_feasible(nodes)
     if not feas:
         raise InfeasiblePoints(feas.reason)
-    powers = _vandermonde(nodes)
-    bad = np.flatnonzero(~np.all(np.isfinite(powers), axis=(1, 2)))
-    if bad.size:
-        raise NonFiniteValue(f"powers of node {bad[0]} overflow: {xs[bad[0]]}")
     lu, piv = scipy.linalg.lu_factor(_complex_rep(powers.transpose(1, 0, 2)).T)
     diag = np.abs(np.diag(lu))
     if np.min(diag) <= TOL_PIVOT * max(np.max(diag), 1e-300):

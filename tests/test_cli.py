@@ -178,6 +178,21 @@ def test_bench_affine_scaling(capsys):
         assert t2 / t1 <= 1.5 * ((d2 + 1) / (d1 + 1)) ** 5, (d1, d2, t2 / t1)
 
 
+def test_bench_mul1_scaling(capsys):
+    # the FFT product works on the (2d+1)^4 product box, so doubling the
+    # degree may cost at most 2.5 times ((2 d2 + 1) / (2 d1 + 1))^4: 32 for
+    # 4 -> 8 and 35 for 8 -> 16; a schoolbook product would read about 96
+    # for 8 -> 16.  The factor is loose because FFT speed depends on how
+    # the box length factors: 9 = 3^2, 17 is prime, 33 = 3 * 11
+    sizes = [4, 8, 16]
+    code, out, _ = run_main(capsys, ["bench", "--op", "mul1", "--sizes",
+                                     ",".join(map(str, sizes)), "--repeats", "5"])
+    assert code == 0
+    times = [float(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]]
+    for (d1, t1), (d2, t2) in zip(zip(sizes, times), zip(sizes[1:], times[1:])):
+        assert t2 / t1 <= 2.5 * ((2 * d2 + 1) / (2 * d1 + 1)) ** 4, (d1, d2, t2 / t1)
+
+
 @pytest.mark.skipif(shutil.which("quatpoly") is None,
                     reason="console script not installed")
 def test_installed_entry_point():

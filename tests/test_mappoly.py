@@ -86,13 +86,25 @@ def test_mul_fast_unequal_and_prime_extents():
         fast, naive = a.mul_fast(b).table, a.mul_naive(b).table
         assert fast.shape == naive.shape
         assert np.max(np.abs(fast - naive)) <= 1e-12 * np.max(np.abs(naive))
-        # components of one factor with different boxes of their own
-        p = mp.QuadruplePoly([mp.RPoly4(rng.uniform(-1, 1, e))
-                              for e in (ea, eb, (1, 1, 1, 1), ea)])
+        # components of one factor with different boxes of their own,
+        # stored zero-padded to their common box
+        parts = [mp.RPoly4(rng.uniform(-1, 1, e)) for e in (ea, eb, (1, 1, 1, 1), ea)]
+        p = mp.QuadruplePoly(parts)
+        box = tuple(map(max, ea, eb))
+        assert p.table.shape == box + (4,)
+        for part, comp in zip(parts, p.comps):
+            assert np.array_equal(comp.table, part.padded(box))
+            assert np.shares_memory(comp.table, p.table)
         q = mp.QuadruplePoly([mp.RPoly4(rng.uniform(-1, 1, e))
                               for e in (eb, eb, ea, (2, 1, 1, 3))])
         naive = p.mul_naive(q)
         assert mp.max_coeff_diff(p.mul_fast(q), naive) <= 1e-12 * mp.coeff_scale(naive)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2, 3), (2, 2, 2, 4), (2, 2, 2, 2, 2, 4)])
+def test_table_must_be_five_dimensional_with_four_components(shape):
+    with pytest.raises(ValueError):
+        mp.QuadruplePoly(np.zeros(shape))
 
 
 def test_degree_examples_and_additivity():
@@ -385,7 +397,7 @@ def test_zero_witness_hits_nonzero_often():
 def test_serialization_round_trip():
     rng = np.random.default_rng(13)
     p = mp.random_quadruple(3, rng)
-    assert mp.max_coeff_diff(mp.QuadruplePoly.from_text(p.to_text()), p) <= 1e-15
+    assert np.array_equal(mp.QuadruplePoly.from_text(p.to_text()).table, p.table)
     z = mp.QuadruplePoly.zero()
     assert mp.QuadruplePoly.from_text(z.to_text()).is_zero()
 

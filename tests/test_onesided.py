@@ -288,6 +288,18 @@ def test_interpolate_rejects_non_finite(xs, ys, culprit):
         os_.interpolate(xs, ys)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("criterion", [os_.double_determinant, os_.vandermonde_invertible])
+@pytest.mark.parametrize("xs", [
+    [Quaternion(0), Quaternion(np.nan)],
+    # finite, but its square overflows
+    [Quaternion(0), Quaternion(1e200), Quaternion(1, 1)],
+])
+def test_determinant_criteria_reject_non_finite_nodes(criterion, xs):
+    with pytest.raises(NonFiniteValue, match="node 1"):
+        criterion(xs)
+
+
 def test_interpolating_zeros_gives_zero_polynomial():
     # vanishing at deg+1 distinct reals forces every coefficient to zero
     rng = np.random.default_rng(11)
