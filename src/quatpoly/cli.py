@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from . import fileio, mappoly, onesided, seqpoly
-from .errors import ParseError, QuatPolyError
+from .errors import NonFiniteValue, ParseError, QuatPolyError
 from .qarray import to_quaternions
 from .quaternion import format_quaternion, parse_quaternion, random_quaternion
 
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as err:
+    except (ParseError, NonFiniteValue) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

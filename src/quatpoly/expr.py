@@ -27,7 +27,7 @@ import re
 
 import numpy as np
 
-from .errors import BracketsNotAllowed, ParseError, PowerNotSupported
+from .errors import BracketsNotAllowed, NonFiniteValue, ParseError, PowerNotSupported
 from .mappoly import QuadruplePoly
 from .quaternion import Quaternion, format_quaternion
 
@@ -272,7 +272,8 @@ def expand(e: Expr) -> QuadruplePoly:
 
     Terms are expanded independently and accumulated in order of
     ascending degree (token length breaking ties), keeping every addition
-    no larger than what follows it.
+    no larger than what follows it.  Raises NonFiniteValue when a
+    coefficient overflows.
     """
     if isinstance(e, Expr):
         if e.had_brackets:
@@ -286,18 +287,25 @@ def expand(e: Expr) -> QuadruplePoly:
     terms = []
     _split_terms(root, +1, terms)
     expanded = []
-    for sign, node in terms:
-        factors = []
-        _split_factors(node, factors)
-        quads = [QuadruplePoly.variable() if isinstance(f, Var)
-                 else QuadruplePoly.constant(f.value) for f in factors]
-        quad = ordered_product(quads)
-        expanded.append((quad.degree, len(factors), sign, quad))
-    expanded.sort(key=lambda t: (t[0], t[1]))
-    acc = QuadruplePoly.zero()
-    for _, _, sign, quad in expanded:
-        acc = acc + quad if sign > 0 else acc - quad
-    return acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign, node in terms:
+            factors = []
+            _split_factors(node, factors)
+            quads = [QuadruplePoly.variable() if isinstance(f, Var)
+                     else QuadruplePoly.constant(f.value) for f in factors]
+            quad = _finite_expansion(ordered_product(quads))
+            expanded.append((quad.degree, len(factors), sign, quad))
+        expanded.sort(key=lambda t: (t[0], t[1]))
+        acc = QuadruplePoly.zero()
+        for _, _, sign, quad in expanded:
+            acc = acc + quad if sign > 0 else acc - quad
+    return _finite_expansion(acc)
+
+
+def _finite_expansion(quad: QuadruplePoly) -> QuadruplePoly:
+    if not np.all(np.isfinite(quad.table)):
+        raise NonFiniteValue("expanded coefficients overflow")
+    return quad
 
 
 def _split_terms(node, sign, out):

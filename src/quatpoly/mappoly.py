@@ -70,7 +70,8 @@ class _TablePoly:
 
     @property
     def degree(self):
-        """Total degree; -inf for zero, an integer otherwise.
+        """Total degree; -inf for zero, an integer otherwise, and
+        NonFiniteValue for a table with an infinite or NaN entry.
 
         Entries are trimmed against the largest coefficient of the whole
         table, so a component holding only rounding residue of a
@@ -102,7 +103,8 @@ class _TablePoly:
         return type(self)(self.table * s)
 
     def __repr__(self):
-        return f"{type(self).__name__}(extents={self.extents}, degree={self.degree})"
+        degree = self.degree if np.all(np.isfinite(self.table)) else "non-finite"
+        return f"{type(self).__name__}(extents={self.extents}, degree={degree})"
 
 
 class RPoly4(_TablePoly):
@@ -150,9 +152,12 @@ class RPoly4(_TablePoly):
 def _trimmed_degree(table):
     """Largest total degree of an exponent tuple with an entry above
     DEGREE_TRIM_REL times the largest entry of the table, trailing axes
-    included; -inf when the table is zero."""
+    included; -inf when the table is zero.  A table with an infinite or
+    NaN entry has no degree: NonFiniteValue."""
     mag = np.abs(table)
     peak = float(np.max(mag))
+    if not np.isfinite(peak):
+        raise NonFiniteValue("non-finite coefficients have no degree")
     if peak == 0.0:
         return NEG_INF
     mask = np.any(mag > DEGREE_TRIM_REL * peak, axis=tuple(range(4, table.ndim)))

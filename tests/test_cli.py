@@ -37,6 +37,12 @@ def test_eval_overflowing_point_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_expand_overflow_exit_2(capsys):
+    code, out, err = run_main(capsys, ["expand", "-e", "1e300·X·1e300"])
+    assert code == 2 and "overflow" in err and out == ""
+
+
 def test_expand_and_errors(tmp_path, capsys):
     out_file = tmp_path / "quad.txt"
     code, _, _ = run_main(capsys, ["expand", "-e", "X·X", "-o", str(out_file)])

@@ -214,39 +214,176 @@ def test_cauchy_line_sum_is_scale_free(scale):
     assert np.max(np.abs(got - want) / bound) <= 1e-10
 
 
-def charge_counts(n_leaf, periodic):
-    """counts[t, b]: how often the interaction lists of a target in leaf
-    bin t charge source leaf bin b, checking far-bin separation on the way."""
+def charge_counts(n_leaf, periodic, stop):
+    """counts[t, b]: how often the lists of a target in leaf bin t that
+    stops at level `stop` charge source leaf bin b, through the far lists of
+    levels 0..stop and the level-`stop` near list; far bins are checked to
+    be at least two bins from the target's own on the way."""
     leaf = np.arange(n_leaf)
     far, near = cp._interaction_lists(leaf, n_leaf, periodic)
     counts = np.zeros((n_leaf, n_leaf), dtype=int)
-    for n_bins, bins in far:
+    for level, (n_bins, bins) in enumerate(far[:stop + 1] + [near[stop]]):
         per = n_leaf // n_bins
         own = leaf // per
         for t in leaf:
             for b in bins[:, t]:
                 if b == n_bins:
                     continue  # past the end of the open segment
-                gap = abs(b - own[t])
-                if periodic:
-                    gap = min(gap, n_bins - gap)
-                assert gap >= 2, (n_bins, t, b)
+                if level <= stop:
+                    gap = abs(b - own[t])
+                    if periodic:
+                        gap = min(gap, n_bins - gap)
+                    assert gap >= 2, (n_bins, t, b)
                 counts[t, b * per:(b + 1) * per] += 1
-    for t in leaf:
-        for b in near[:, t]:
-            if b < n_leaf:
-                counts[t, b] += 1
     return counts
+
+
+def n_levels(n_leaf):
+    return n_leaf.bit_length() - cp._TOP_BINS.bit_length() + 1
 
 
 @pytest.mark.parametrize("n_leaf", [16, 64, 512])
 def test_interaction_lists_partition_sources(n_leaf):
-    # circle: every source bin is charged to every target exactly once,
-    # either in some level's far list or in the leaf neighbourhood
-    assert np.all(charge_counts(n_leaf, periodic=True) == 1)
+    # circle: at every stop level, each source bin is charged to every
+    # target exactly once, in some level's far list or in the near list
+    for stop in range(n_levels(n_leaf)):
+        assert np.all(charge_counts(n_leaf, True, stop) == 1), stop
 
 
 @pytest.mark.parametrize("n_leaf", [16, 64, 256])
 def test_line_interaction_lists_partition_sources(n_leaf):
     # open segment: bins past the ends are dropped, coverage stays exact
-    assert np.all(charge_counts(n_leaf, periodic=False) == 1)
+    for stop in range(n_levels(n_leaf)):
+        assert np.all(charge_counts(n_leaf, False, stop) == 1), stop
+
+
+def circle_hierarchy(N):
+    nodes = cp._circle_nodes(N)
+    return nodes, np.arange(N) / N, lambda t: np.exp(-2j * np.pi * t)
+
+
+def line_hierarchy(src):
+    src = np.sort(src)
+    lo, span = src[0], src[-1] - src[0]
+    return src, (src - lo) / span, lambda t: lo + t * span, lambda x: (x - lo) / span
+
+
+def multipole_ratios(sources, t_src, curve, ys, t_ys, gap, periodic):
+    """rad / |y - c| over every (target, bin) pair that a target takes as a
+    multipole: (far-list ratios, ratios of the stop level's near bins)."""
+    src_leaf, bounds = cp._leaf_bins(t_src)
+    n_leaf = bounds.size - 1
+    _, centers, rad = cp._moment_tables(sources, src_leaf, bounds, np.ones((1, t_src.size)),
+                                        curve)
+    t_leaf = np.minimum((np.clip(t_ys, 0, 1) * n_leaf).astype(int), n_leaf - 1)
+    far, near = cp._interaction_lists(t_leaf, n_leaf, periodic)
+    stop = cp._stop_level(gap, rad)
+    far_ratios, near_ratios = [0.0], [0.0]
+    for level, ((n_bins, fb), (_, nb)) in enumerate(zip(far, near)):
+        for bins, taken, ratios in ((fb, stop >= level, far_ratios),
+                                    (nb, stop == level, near_ratios)):
+            real = (bins < n_bins) & taken
+            c = centers[n_bins - cp._TOP_BINS + np.minimum(bins, n_bins - 1)]
+            r = rad[level] / np.abs(ys - c)
+            ratios.append(np.max(r[real], initial=0.0))
+    return max(far_ratios), max(near_ratios)
+
+
+def test_multipole_bins_separated_from_their_targets():
+    # a bin taken as a multipole lies at least 3 rad from the target: the
+    # stop rule guarantees it for the stop level's own and adjacent bins,
+    # and the far lists' two-bin gap does on the line; on the circle the
+    # chord to a far bin is shorter than its arc, which costs ~6% at level 0
+    rng = np.random.default_rng(40)
+    nodes, t_src, curve = circle_hierarchy(1 << 13)
+    ys = rng.uniform(0.5, 1.0, 20000) * np.exp(2j * np.pi * rng.uniform(0, 1, 20000))
+    t_ys = np.mod(-np.angle(ys) / (2 * np.pi), 1.0)
+    far_r, near_r = multipole_ratios(nodes, t_src, curve, ys, t_ys, 1 - np.abs(ys), True)
+    assert near_r <= 1 / 3 and far_r <= 0.36, (near_r, far_r)
+    src, t_src, curve, param = line_hierarchy(rng.uniform(-1, 1, 5000))
+    ys = rng.uniform(-3, 3, 20000) + 1j * rng.uniform(0, 1, 20000)
+    far_r, near_r = multipole_ratios(src, t_src, curve, ys, param(ys.real),
+                                     np.abs(ys.imag), False)
+    assert near_r <= 1 / 3 and far_r <= 1 / 3, (near_r, far_r)
+
+
+def clustered_sources(rng):
+    # the poles of test_cauchy_line_sum_clustered_sources
+    return np.concatenate([rng.uniform(0, 0.01, 3000), rng.uniform(0.9, 0.91, 3000),
+                           rng.uniform(-1, 1, 200)])
+
+
+def level_radii(sources, t_src, curve):
+    src_leaf, bounds = cp._leaf_bins(t_src)
+    return cp._moment_tables(sources, src_leaf, bounds, np.ones((1, t_src.size)), curve)[2]
+
+
+def seam_gaps(rad):
+    # gap = 3 rad_j (1 -+ 1e-9): just short of level j and just inside it
+    return np.concatenate([3 * r * np.array([1 - 1e-9, 1 + 1e-9]) for r in rad])
+
+
+def test_circle_targets_on_stop_level_seams():
+    rng = np.random.default_rng(41)
+    nodes, t_src, curve = circle_hierarchy(1 << 14)
+    rad = level_radii(nodes, t_src, curve)
+    gaps = seam_gaps(rad)
+    ys = ((1 - gaps)[:, None] * np.exp(2j * np.pi * rng.uniform(0, 1, (gaps.size, 64)))).ravel()
+    assert np.array_equal(np.unique(cp._stop_level(1 - np.abs(ys), rad)),
+                          np.arange(rad.size + 1))
+    w = rng.standard_normal((2, nodes.size)) + 1j * rng.standard_normal((2, nodes.size))
+    got = cp._cauchy_multipole(w, nodes, ys)
+    want = cp._cauchy_dense(w, nodes, ys)
+    scale = np.abs(w) @ (1.0 / np.abs(ys[:, None] - nodes)).T
+    assert np.max(np.abs(got - want) / scale) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["uniform", "clustered"])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_line_targets_on_stop_level_seams(kind, scale):
+    rng = np.random.default_rng(42)
+    raw = rng.uniform(-1, 1, 5000) if kind == "uniform" else clustered_sources(rng)
+    src, t_src, curve, _ = line_hierarchy(scale * raw)
+    rad = level_radii(src, t_src, curve)
+    gaps = seam_gaps(rad)
+    ys = (scale * rng.uniform(-1.2, 1.2, (gaps.size, 64)) + 1j * gaps[:, None]).ravel()
+    assert np.array_equal(np.unique(cp._stop_level(np.abs(ys.imag), rad)),
+                          np.arange(rad.size + 1))
+    w = rng.uniform(-1, 1, src.size)
+    got = cp.cauchy_line_sum(src, w, ys)
+    want = cp._cauchy_dense(w, src, ys)
+    bound = (np.abs(w) / np.abs(ys[:, None] - src)).sum(axis=1)
+    assert np.max(np.abs(got - want) / bound) <= 1e-10
+
+
+def direct_moments(sources, t_src, weights, level, centers, rad):
+    """Moments of every level-`level` bin, summed over its sources."""
+    src_leaf, bounds = cp._leaf_bins(t_src)
+    n_leaf = bounds.size - 1
+    n_bins = cp._TOP_BINS << level
+    b = src_leaf // (n_leaf // n_bins)
+    d = (sources - centers[n_bins - cp._TOP_BINS + b]) / rad[level]
+    member = (b[:, None] == np.arange(n_bins)).astype(float)
+    return np.stack([(weights * d ** m / rad[level]) @ member for m in range(cp._MP_TERMS)],
+                    axis=1)
+
+
+@pytest.mark.parametrize("case", ["circle", "uniform", "clustered", "tiny", "huge"])
+def test_translated_moments_match_direct_sums(case):
+    # the upward pass translates leaf moments to every coarser level; each
+    # level must agree with moments summed straight from its sources
+    rng = np.random.default_rng(43)
+    if case == "circle":
+        sources, t_src, curve = circle_hierarchy(1 << 13)
+    else:
+        raw = clustered_sources(rng) if case == "clustered" else rng.uniform(-1, 1, 5000)
+        scale = {"tiny": 1e-200, "huge": 1e200}.get(case, 1.0)
+        sources, t_src, curve, _ = line_hierarchy(scale * raw)
+    weights = rng.standard_normal((3, t_src.size)) + 1j * rng.standard_normal((3, t_src.size))
+    src_leaf, bounds = cp._leaf_bins(t_src)
+    table, centers, rad = cp._moment_tables(sources, src_leaf, bounds, weights, curve)
+    for level in range(rad.size):
+        n_bins = cp._TOP_BINS << level
+        want = direct_moments(sources, t_src, weights, level, centers, rad)
+        got = table[:, :, n_bins - cp._TOP_BINS:2 * n_bins - cp._TOP_BINS]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), level

@@ -3,7 +3,8 @@ import pytest
 
 from quatpoly import expr as ex
 from quatpoly import mappoly as mp
-from quatpoly.errors import BracketsNotAllowed, ParseError, PowerNotSupported
+from quatpoly.errors import (BracketsNotAllowed, NonFiniteValue, ParseError,
+                             PowerNotSupported)
 from quatpoly.quaternion import I, J, K, Quaternion, random_quaternion
 
 ONE = Quaternion(1)
@@ -148,6 +149,16 @@ def test_expand_degree_ignores_cancellation_residue():
     # peak coefficient; they must not count for the degree
     text = "·".join(["X", "i", "X", "j"] * 4) + " - " + "·".join(["j", "X", "i", "X"] * 4)
     assert ex.expand(ex.parse_expression(text)).degree == 8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text",
+                         ["1e300·X·1e300", "1e308·X + 1e308·X", "1e200·X·X·1e200·X"])
+def test_expand_overflow_raises(text):
+    # a product term or the sum of terms overflows: a library error, not
+    # NaN coefficients with a numpy warning
+    with pytest.raises(NonFiniteValue):
+        ex.expand(ex.parse_expression(text))
 
 
 def test_expand_rejects_brackets():

@@ -451,3 +451,14 @@ def test_affine_substitute_high_degree():
         got = sub.evaluate(Quaternion(*z))
         want = p.evaluate(Quaternion(*(t @ z + off)))
         assert (got - want).norm() <= 1e-7 * max(1.0, want.norm())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_degree_of_non_finite_table_raises(value):
+    quad = mp.QuadruplePoly.constant(Quaternion(1.0, value, 0.0, 0.0))
+    with pytest.raises(NonFiniteValue):
+        quad.degree
+    with pytest.raises(NonFiniteValue):
+        quad.comps[1].degree
+    assert "non-finite" in repr(quad)
