@@ -21,7 +21,6 @@ from .quaternion import (
     Quaternion, parse_quaternion, format_quaternion,
     auto_equivalent, apply_automorphism, rotation_to_complex,
 )
-from .complexpoly import CPoly
 from .seqpoly import QSeq
 from .mappoly import QuadruplePoly, RPoly4
 from .onesided import OneSidedPoly, TwoSidedPoly, RootFormPoly
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Quaternion", "parse_quaternion", "format_quaternion",
     "auto_equivalent", "apply_automorphism", "rotation_to_complex",
-    "CPoly", "QSeq", "QuadruplePoly", "RPoly4",
+    "QSeq", "QuadruplePoly", "RPoly4",
     "OneSidedPoly", "TwoSidedPoly", "RootFormPoly",
     "Expr", "parse_expression", "expand", "zero_test",
     "errors",

@@ -64,48 +64,14 @@ _NODE_GUARD = 3e-8
 _node_cache: dict[int, np.ndarray] = {}
 
 
-def fft(values, inverse: bool = False) -> np.ndarray:
-    """Discrete Fourier transform along the last axis, any length.
-
-    Forward maps index l to sum_m a_m exp(-2 pi i l m / n); `inverse=True`
-    applies the conjugate kernel and the 1/n scaling, so the round trip is
-    the identity up to rounding.
-    """
-    return np.fft.ifft(values) if inverse else np.fft.fft(values)
+def fft(values) -> np.ndarray:
+    """Discrete Fourier transform along the last axis, any length: index l
+    maps to sum_m a_m exp(-2 pi i l m / n)."""
+    return np.fft.fft(values)
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
-
-
-class CPoly:
-    """Dense complex polynomial; ``coeffs[l]`` is the coefficient of Z^l.
-
-    Trailing exact zeros are removed on construction; the zero polynomial
-    is the empty sequence, with degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
-        keep = np.flatnonzero(c)
-        self.coeffs = c[: keep[-1] + 1] if keep.size else c[:0]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __call__(self, z):
-        scalar = np.isscalar(z) or np.ndim(z) == 0
-        vals = _horner_rows(self.coeffs[None, :], np.atleast_1d(z))[0]
-        return vals[0] if scalar else vals
-
-    def __repr__(self):
-        return f"CPoly({self.coeffs.tolist()!r})"
 
 
 def _pad_last(a: np.ndarray, size: int) -> np.ndarray:
@@ -124,21 +90,13 @@ def _horner_rows(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 # -- fast multipoint evaluation ----------------------------------------------
 
-def multipoint_eval(p: CPoly, pts) -> np.ndarray:
-    """Values of p at every point.
+def _multieval_rows(rows: np.ndarray, pts) -> np.ndarray:
+    """Batched multipoint evaluation; (k, n) coefficients -> (k, npts).
 
     Point sets smaller than DEFAULT_CROSSOVER (and polynomials of degree
     below it) are evaluated by plain Horner; larger problems run through
     the fast circle-sampling path.
     """
-    pts = np.atleast_1d(np.asarray(pts, dtype=np.complex128))
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.complex128)
-    return _multieval_rows(p.coeffs[None, :], pts)[0]
-
-
-def _multieval_rows(rows: np.ndarray, pts) -> np.ndarray:
-    """Batched multipoint evaluation; (k, n) coefficients -> (k, npts)."""
     pts = np.atleast_1d(np.asarray(pts, dtype=np.complex128))
     if rows.shape[-1] == 0:
         return np.zeros(rows.shape[:-1] + pts.shape, dtype=np.complex128)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BracketsNotAllowed, NonFiniteValue, ParseError, PowerNotSupported
 from .mappoly import QuadruplePoly
-from .quaternion import Quaternion, format_quaternion
+from .quaternion import Quaternion, format_quaternion, parse_term
 
 #: |value| <= this fraction of the accumulated partial-result magnitude
 #: counts as a rounding residue of zero
@@ -91,43 +91,32 @@ class Expr:
         return f"Expr({to_text(self)!r})"
 
 
-_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<const>({_NUMBER})\s*([ijk])?|[ijk])|(?P<var>X)"
-    rf"|(?P<op>[+\-*·()])|(?P<pow>\^)|(?P<bad>\S))")
+_TOKEN_RE = re.compile(r"(?:(X)|([+\-*·()]))\s*")
 
 
 def _tokenize(text: str):
+    """Tokens as (kind, value, position); constants are read by the
+    quaternion literal term rule."""
     tokens = []
-    pos = 0
+    pos = len(text) - len(text.lstrip())
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
-            raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
-        if m.group("pow"):
-            raise PowerNotSupported(
-                "powers are not part of the expression alphabet; "
-                "write repeated products", m.start("pow"))
-        if m.group("const"):
-            raw = m.group("const")
-            if raw in "ijk":
-                value = Quaternion(0, *(1.0 if u == raw else 0.0 for u in "ijk"))
-            else:
-                num = m.group(2)
-                unit = m.group(3)
-                mag = float(num)
-                if unit is None:
-                    value = Quaternion(mag)
-                else:
-                    value = Quaternion(0, *(mag if u == unit else 0.0 for u in "ijk"))
-            tokens.append(("const", value, m.start()))
-        elif m.group("var"):
-            tokens.append(("var", None, m.start()))
-        else:
-            tokens.append((m.group("op"), None, m.start()))
-        pos = m.end()
+        if m is not None:
+            tokens.append(("var", None, pos) if m.group(1) else (m.group(2), None, pos))
+            pos = m.end()
+            continue
+        term = parse_term(text, pos)
+        if term is None:
+            if text[pos] == "^":
+                raise PowerNotSupported(
+                    "powers are not part of the expression alphabet; "
+                    "write repeated products", pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        idx, value, end = term
+        comps = [0.0, 0.0, 0.0, 0.0]
+        comps[idx] = value
+        tokens.append(("const", Quaternion(*comps), pos))
+        pos = end
     return tokens
 
 
@@ -226,8 +215,11 @@ def node_count(e: Expr | object) -> int:
 
 
 def eval_at(e: Expr | object, x: Quaternion) -> Quaternion:
-    """Bottom-up evaluation; cost is one product or sum per tree node."""
-    return _eval_bound(e.root if isinstance(e, Expr) else e, x)[0]
+    """Bottom-up evaluation; cost is one product or sum per tree node.
+
+    Raises NonFiniteValue as `eval_with_bound` does.
+    """
+    return eval_with_bound(e, x)[0]
 
 
 def eval_with_bound(e: Expr | object, x: Quaternion):
@@ -235,8 +227,14 @@ def eval_with_bound(e: Expr | object, x: Quaternion):
 
     The magnitude sum tracks how large the intermediates were, which is
     the scale against which a near-zero float result should be judged.
+    It is finite exactly when every partial result, the value included,
+    is finite and their magnitudes sum within the double range; otherwise
+    NonFiniteValue is raised.
     """
-    return _eval_bound(e.root if isinstance(e, Expr) else e, x)
+    value, bound = _eval_bound(e.root if isinstance(e, Expr) else e, x)
+    if not math.isfinite(bound):
+        raise NonFiniteValue(f"evaluation at {x} overflows")
+    return value, bound
 
 
 def _eval_bound(node, x):
@@ -273,7 +271,7 @@ def expand(e: Expr) -> QuadruplePoly:
     Terms are expanded independently and accumulated in order of
     ascending degree (token length breaking ties), keeping every addition
     no larger than what follows it.  Raises NonFiniteValue when a
-    coefficient overflows.
+    coefficient of a product or of the sum overflows.
     """
     if isinstance(e, Expr):
         if e.had_brackets:
@@ -287,25 +285,21 @@ def expand(e: Expr) -> QuadruplePoly:
     terms = []
     _split_terms(root, +1, terms)
     expanded = []
+    for sign, node in terms:
+        factors = []
+        _split_factors(node, factors)
+        quads = [QuadruplePoly.variable() if isinstance(f, Var)
+                 else QuadruplePoly.constant(f.value) for f in factors]
+        quad = ordered_product(quads)
+        expanded.append((quad.degree, len(factors), sign, quad))
+    expanded.sort(key=lambda t: (t[0], t[1]))
+    acc = QuadruplePoly.zero()
     with np.errstate(over="ignore", invalid="ignore"):
-        for sign, node in terms:
-            factors = []
-            _split_factors(node, factors)
-            quads = [QuadruplePoly.variable() if isinstance(f, Var)
-                     else QuadruplePoly.constant(f.value) for f in factors]
-            quad = _finite_expansion(ordered_product(quads))
-            expanded.append((quad.degree, len(factors), sign, quad))
-        expanded.sort(key=lambda t: (t[0], t[1]))
-        acc = QuadruplePoly.zero()
         for _, _, sign, quad in expanded:
             acc = acc + quad if sign > 0 else acc - quad
-    return _finite_expansion(acc)
-
-
-def _finite_expansion(quad: QuadruplePoly) -> QuadruplePoly:
-    if not np.all(np.isfinite(quad.table)):
+    if not np.all(np.isfinite(acc.table)):
         raise NonFiniteValue("expanded coefficients overflow")
-    return quad
+    return acc
 
 
 def _split_terms(node, sign, out):
@@ -338,7 +332,9 @@ def zero_test(e: Expr, epsilon: float, rng) -> str:
     with components drawn uniformly from {0, ..., 2N-1} (N the token
     count) and checks the value against the magnitude-tracked threshold.
     Verdict "non-zero" is always right; "zero" is wrong with probability
-    at most epsilon when e is in fact nonzero.
+    at most epsilon when e is in fact nonzero.  Raises NonFiniteValue when
+    an evaluation overflows, since an infinite value has no scale to be
+    judged against.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")

@@ -258,13 +258,17 @@ class QuadruplePoly(_TablePoly):
 
     def mul_fast(self, other: "QuadruplePoly") -> "QuadruplePoly":
         """FFT product: the spectra of both tables, components on the
-        trailing axis, are multiplied pointwise as quaternions.
+        trailing axis, are multiplied pointwise as quaternions.  Raises
+        NonFiniteValue when a coefficient overflows.
         """
         if self.is_zero() or other.is_zero():
             return QuadruplePoly.zero()
         shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
-        return QuadruplePoly(_unpack(qmul(_pack(self.table, shape),
-                                          _pack(other.table, shape)), shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _unpack(qmul(_pack(self.table, shape), _pack(other.table, shape)), shape)
+        if not np.all(np.isfinite(table)):
+            raise NonFiniteValue("product coefficients overflow")
+        return QuadruplePoly(table)
 
     def __mul__(self, other):
         if isinstance(other, QuadruplePoly):

@@ -8,10 +8,13 @@ evaluation, and the real-pole N-body kernel.
 
 Fast multi-evaluation reduces quaternion points to complex ones: conjugation
 by a unit u rotates x into the span of 1 and i while fixing the reals, so a
-real-coefficient polynomial satisfies q(x) = u^-1 q(y) u.  A two-sided
-polynomial splits over the basis into at most sixteen real-coefficient
-polynomials, each multi-evaluated on the rotated points with the classical
-complex machinery and recombined per point.
+real-coefficient polynomial satisfies q(x) = u^-1 q(y) u.  With w = u^-1 i u,
+the unit pure quaternion along Im x, that is Re q(y) + Im q(y) w: the way
+back is linear in the complex values.  A two-sided polynomial splits over
+the basis into at most sixteen real-coefficient polynomials q[s, t], each
+multi-evaluated on the rotated points with the classical complex
+machinery; one matrix product with the basis triples e_s e_m e_t lifts
+all of them back at once.
 
 Interpolation checks its nodes by their conjugation invariants, then solves
 the 2n x 2n complex representation of the quaternion Vandermonde system.
@@ -146,16 +149,17 @@ def decompose_to_real(p: TwoSidedPoly) -> np.ndarray:
     return np.einsum("ls,lt->stl", p.left, p.right)
 
 
-_BASIS_ARR = np.eye(4)
+#: _TRIPLES[4 s + t, m] holds the components of e_s e_m e_t
+_TRIPLES = qmul(qmul(np.eye(4)[:, None, None], np.eye(4)), np.eye(4)[:, None]).reshape(16, 4, 4)
 
 
 def multieval_fast(p, xs) -> list:
     """Values of p at every point by rotation reduction.
 
     Accepts a TwoSidedPoly or OneSidedPoly.  Each point is conjugated into
-    the complex plane, the nonzero real component polynomials are
-    multi-evaluated there in one batch, and the values are conjugated back
-    and recombined with the basis factors.
+    the complex plane, the nonzero real component polynomials q[s, t] are
+    multi-evaluated there in one batch, and the values are lifted back
+    with their basis factors.
     """
     if isinstance(p, OneSidedPoly):
         p = TwoSidedPoly.from_one_sided(p)
@@ -166,28 +170,22 @@ def multieval_fast(p, xs) -> list:
     if len(p) == 0:
         return [Quaternion() for _ in range(n_pts)]
 
-    us, ys = _rotate_to_complex(xs)
-    cells = decompose_to_real(p)
-    live = [(s, t) for s in range(4) for t in range(4)
-            if np.any(cells[s, t] != 0.0)]
-    rows = np.array([cells[s, t] for s, t in live], dtype=np.complex128)
-    # a value that overflows raises NonFiniteValue in _rotate_back
+    ws, ys = _rotate_to_complex(xs)
+    cells = decompose_to_real(p).reshape(16, -1)
+    live = np.flatnonzero(np.any(cells != 0.0, axis=1))
+    # a value that overflows raises NonFiniteValue in _lift
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = complexpoly._multieval_rows(rows, ys)
-    w = _rotate_back(us, vals)
-
-    out = np.zeros((n_pts, 4))
-    for idx, (s, t) in enumerate(live):
-        out += qmul(qmul(_BASIS_ARR[s], w[idx]), _BASIS_ARR[t])
-    return to_quaternions(out)
+        vals = complexpoly._multieval_rows(cells[live].astype(np.complex128), ys)
+    return to_quaternions(_lift(vals, ws, _TRIPLES[live]))
 
 
 def _rotate_to_complex(xs):
-    """Unit conjugators u as an (n, 4) array and the complex images
-    y = u x u^-1 of the quaternion points `xs`.
+    """Directions w = u^-1 i u as an (n, 4) array and the complex images
+    y = u x u^-1 of the quaternion points `xs`, for the unit conjugators u.
 
-    Raises NonFiniteValue for a point that is not finite, or whose
-    imaginary norm overflows.
+    x = Re y + Im y * w: w is the unit pure quaternion along Im x, or i
+    where x already lies in the span of 1 and i.  Raises NonFiniteValue
+    for a point that is not finite, or whose imaginary norm overflows.
     """
     us = np.empty((len(xs), 4))
     ys = np.empty(len(xs), dtype=np.complex128)
@@ -198,24 +196,26 @@ def _rotate_to_complex(xs):
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:
         raise NonFiniteValue(f"point {bad[0]} is not finite: {xs[bad[0]]}")
-    return us, ys
+    uinv = us * (1.0, -1.0, -1.0, -1.0)  # unit conjugators: inverse is the conjugate
+    return qmul(qmul(uinv, (0.0, 1.0, 0.0, 0.0)), us), ys
 
 
-def _rotate_back(us, vals):
-    """u^-1 v u for complex values `vals` (..., n) at the points rotated by
-    the (n, 4) conjugators `us`, as a (..., n, 4) array.
+def _lift(vals, ws, triples):
+    """sum_c e_s (Re v_c + Im v_c w) e_t for the values `vals` (cells, n)
+    of the real polynomials q[s, t] at the points y, as an (n, 4) array.
 
+    By u^-1 (a + b i) u = a + b w, this is the two-sided value at x.
+    `triples` holds the products e_s e_m e_t of each cell, so the lift is
+    one matrix product over cells and the basis coordinates of 1 and w.
     Raises NonFiniteValue when a value overflowed.
     """
     bad = np.nonzero(~np.isfinite(vals))[-1]
     if bad.size:
         raise NonFiniteValue(f"value at point {bad[0]} is not finite")
-    uinv = us.copy()
-    uinv[:, 1:] = -uinv[:, 1:]  # unit conjugators: inverse is the conjugate
-    emb = np.zeros(vals.shape + (4,))
-    emb[..., 0] = vals.real
-    emb[..., 1] = vals.imag
-    return qmul(qmul(uinv, emb), us)
+    coords = np.empty(vals.shape[::-1] + (4,))
+    coords[..., 0] = vals.real.T
+    np.multiply(vals.imag.T[..., None], ws[:, None, 1:], out=coords[..., 1:])
+    return coords.reshape(coords.shape[0], -1) @ triples.reshape(-1, 4)
 
 
 def multieval_naive(p, xs) -> list:
@@ -424,7 +424,7 @@ def nbody_multieval(poles, xs) -> list:
     """sum_l (x - a_l)^-1 for real poles a_l at quaternion points x.
 
     Rotating x into the complex plane commutes with inversion and fixes the
-    reals, so the value is u^-1 S(y) u with the complex partial-fraction
+    reals, so the value is Re S(y) + Im S(y) w with the complex partial-fraction
     sum S(y) = sum_l (y - a_l)^-1, which equals q'(y)/q(y) for the pole
     polynomial q = prod (Z - a_l).  The sum is carried out on the actual
     pole distances (hierarchically for large inputs): forming q and
@@ -441,7 +441,7 @@ def nbody_multieval(poles, xs) -> list:
         return [Quaternion() for _ in xs]
     if not xs:
         return []
-    us, ys = _rotate_to_complex(xs)
+    ws, ys = _rotate_to_complex(xs)
     # the nearest real pole to y is a neighbour of Re(y) in sorted order
     srt = np.sort(poles)
     right = np.minimum(np.searchsorted(srt, ys.real), srt.size - 1)
@@ -453,7 +453,7 @@ def nbody_multieval(poles, xs) -> list:
             f"point {bad[0]} reduces within {TOL_POLE} of a pole")
 
     ratio = complexpoly.cauchy_line_sum(poles, np.ones_like(poles), ys)
-    return to_quaternions(_rotate_back(us, ratio))
+    return to_quaternions(_lift(ratio[None], ws, _TRIPLES[:1]))
 
 
 def nbody_naive(poles, xs) -> list:

@@ -34,5 +34,5 @@ def from_quaternions(qs) -> np.ndarray:
 
 
 def to_quaternions(arr) -> list:
-    arr = np.asarray(arr, dtype=float).reshape(-1, 4)
-    return [Quaternion(*row) for row in arr]
+    """Quaternions of the rows of an (n, 4) array."""
+    return [Quaternion(*row) for row in np.asarray(arr, dtype=float).reshape(-1, 4).tolist()]

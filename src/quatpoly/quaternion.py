@@ -6,8 +6,8 @@ follow by bilinearity.  Values are immutable and all operations are pure,
 so they can be shared freely between threads.
 
 Equality (`==`) is exact on components.  Anything that has to tolerate
-floating-point noise goes through explicit tolerances: `TOL_EQ` for
-predicates such as automorphic equivalence, `isclose` for tests.
+floating-point noise goes through an explicit tolerance, such as `TOL_EQ`
+for predicates such as automorphic equivalence.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ class Quaternion:
             + self.im_j * self.im_j + self.im_k * self.im_k
 
     def norm(self):
-        return math.sqrt(self.norm_sq())
+        # hypot scales: the norm overflows only when it exceeds the double range
+        return math.hypot(self.re, self.im_i, self.im_j, self.im_k)
 
     __abs__ = norm
 
@@ -136,11 +137,6 @@ class Quaternion:
 
     def is_zero(self):
         return self.norm_sq() == 0.0
-
-    def isclose(self, other, rel_tol=1e-12, abs_tol=0.0):
-        other = _coerce(other)
-        d = (self - other).norm()
-        return d <= max(abs_tol, rel_tol * max(self.norm(), other.norm()))
 
 
 def _coerce(value):
@@ -214,10 +210,25 @@ def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
 # Whitespace is insignificant.  Examples: "1-2k", "i", "0.5+0.5i-j".
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_TERM_RE = re.compile(rf"({_NUMBER})\s*([ijk])?|([ijk])")
+_TERM_RE = re.compile(rf"(?:({_NUMBER})\s*([ijk])?|([ijk]))\s*")
 _WS_RE = re.compile(r"\s*")
 
 _UNIT_INDEX = {None: 0, "i": 1, "j": 2, "k": 3}
+
+
+def parse_term(text: str, pos: int):
+    """The term at `pos` as ``(component index, value, end)``, or None
+    when no term starts there; `end` is past the whitespace that follows.
+    Raises ParseError for a number outside the double range."""
+    m = _TERM_RE.match(text, pos)
+    if m is None:
+        return None
+    if m.group(3) is not None:
+        return _UNIT_INDEX[m.group(3)], 1.0, m.end()
+    value = float(m.group(1))
+    if not math.isfinite(value):
+        raise ParseError("number outside the double range", pos)
+    return _UNIT_INDEX[m.group(2)], value, m.end()
 
 
 def parse_quaternion(text: str) -> Quaternion:
@@ -236,18 +247,14 @@ def parse_quaternion(text: str) -> Quaternion:
             pos = _WS_RE.match(text, pos + 1).end()
         elif not first:
             raise ParseError("expected '+' or '-' between terms", pos)
-        m = _TERM_RE.match(text, pos)
-        if m is None:
+        term = parse_term(text, pos)
+        if term is None:
             raise ParseError("expected a number or unit (i, j, k)", pos)
-        if m.group(3) is not None:
-            value, unit = 1.0, m.group(3)
-        else:
-            value, unit = float(m.group(1)), m.group(2)
-        idx = _UNIT_INDEX[unit]
+        idx, value, end = term
         comps[idx] += sign * value
         if not math.isfinite(comps[idx]):
-            raise ParseError("number outside the double range", m.start())
-        pos = _WS_RE.match(text, m.end()).end()
+            raise ParseError("number outside the double range", pos)
+        pos = end
         first = False
     return Quaternion(*comps)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import complexpoly
+from .errors import NonFiniteValue
 from .qarray import from_quaternions, qmul, to_quaternions
 from .quaternion import Quaternion
 
@@ -74,21 +75,26 @@ def add(a: QSeq, b: QSeq) -> QSeq:
 
 
 def convolve_naive(a: QSeq, b: QSeq) -> QSeq:
-    """Exact convolution c_l = sum_t a_t * b_(l-t); the factor order matters."""
+    """Exact convolution c_l = sum_t a_t * b_(l-t); the factor order matters.
+
+    Raises NonFiniteValue when a coefficient overflows.
+    """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return QSeq()
     out = np.zeros((n + m - 1, 4))
-    for t in range(n):
-        out[t:t + m] += qmul(a.comps[t], b.comps)
-    return QSeq.from_components(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n):
+            out[t:t + m] += qmul(a.comps[t], b.comps)
+    return _finite_product(out)
 
 
 def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
     """FFT convolution: real transforms of the four component sequences,
     the Hamilton product of the spectra, one inverse transform.
 
-    Matches `convolve_naive` up to rounding.
+    Matches `convolve_naive` up to rounding; raises NonFiniteValue when a
+    coefficient overflows.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
@@ -98,10 +104,18 @@ def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
     # one block for both spectra and their product: freed separately, large
     # temporaries go back to the OS and fault in again on every call
     work = np.empty((3, size // 2 + 1, 4), dtype=np.complex128)
-    np.fft.rfft(a.comps, n=size, axis=0, out=work[0])
-    np.fft.rfft(b.comps, n=size, axis=0, out=work[1])
-    work[2] = qmul(work[0], work[1])
-    return QSeq.from_components(np.fft.irfft(work[2], n=size, axis=0)[:out_len])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.fft.rfft(a.comps, n=size, axis=0, out=work[0])
+        np.fft.rfft(b.comps, n=size, axis=0, out=work[1])
+        work[2] = qmul(work[0], work[1])
+        out = np.fft.irfft(work[2], n=size, axis=0)[:out_len]
+    return _finite_product(out)
+
+
+def _finite_product(comps) -> QSeq:
+    if not np.all(np.isfinite(comps)):
+        raise NonFiniteValue("convolution coefficients overflow")
+    return QSeq.from_components(comps)
 
 
 def random_qseq(n: int, rng, scale: float = 1.0) -> QSeq:

@@ -38,6 +38,30 @@ def test_eval_overflowing_point_exit_2(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["eval", "-e", "1e300·X·1e300", "-x", "1"],
+                                  ["zerotest", "-e", "1e300·X·1e300", "--epsilon", "0.01"]])
+def test_overflowing_evaluation_exit_2(capsys, argv):
+    code, out, err = run_main(capsys, argv)
+    assert code == 2 and "overflow" in err and out == ""
+
+
+@pytest.mark.parametrize("command", [["eval", "-x", "1"], ["zerotest", "--epsilon", "0.01"]])
+def test_constant_beyond_double_range_exit_2(capsys, command):
+    code, out, err = run_main(capsys, command + ["-e", "1e400·X"])
+    assert code == 2 and "position 0" in err and out == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("naive", [[], ["--naive"]])
+def test_convolve_overflow_exit_2(tmp_path, capsys, naive):
+    (tmp_path / "a.txt").write_text("1e200\n1e200\n")
+    (tmp_path / "b.txt").write_text("1e200i\n1e200i\n")
+    code, out, err = run_main(capsys, ["convolve", "-a", str(tmp_path / "a.txt"),
+                                       "-b", str(tmp_path / "b.txt")] + naive)
+    assert code == 2 and "overflow" in err and out == ""
+
+
+@pytest.mark.filterwarnings("error")
 def test_expand_overflow_exit_2(capsys):
     code, out, err = run_main(capsys, ["expand", "-e", "1e300·X·1e300"])
     assert code == 2 and "overflow" in err and out == ""

@@ -64,6 +64,40 @@ def test_parse_errors_with_positions():
             ex.parse_expression(bad)
 
 
+def test_parse_constants_by_the_literal_term_rule():
+    # constants read as quaternion literal terms: units, exponents and
+    # whitespace before the unit, and no number past the double range
+    e = ex.parse_expression("2.5e-1 i·X + .5·j - 3E2 ·k")
+    want = Quaternion(0, 0.25, 0, 0) * J + Quaternion(0, 0, 0.5, 0) - Quaternion(0, 0, 0, 300)
+    assert (ex.eval_at(e, J) - want).norm() <= 1e-15
+    for text, pos in [("1e400·X", 0), ("X + 2·1e400i", 6), ("X·(1E999)", 3)]:
+        with pytest.raises(ParseError) as err:
+            ex.parse_expression(text)
+        assert err.value.position == pos, text
+
+
+@pytest.mark.parametrize("text", ["1e300·X·1e300", "1e308·X + 1e308·X", "X·1e200·X·1e200"])
+def test_eval_overflow_raises(text):
+    # a value or magnitude bound that overflows has no scale to be judged
+    # against: the zero test would compare inf with inf
+    e = ex.parse_expression(text)
+    with pytest.raises(NonFiniteValue):
+        ex.eval_at(e, ONE)
+    with pytest.raises(NonFiniteValue):
+        ex.eval_with_bound(e, Quaternion(1, 2, 0, 0))
+    with pytest.raises(NonFiniteValue):
+        ex.zero_test(e, 0.01, np.random.default_rng(0))
+
+
+def test_large_finite_values_keep_their_scale():
+    # components beyond 1e154 square past the double range; the norm and
+    # the magnitude bound must not
+    e = ex.parse_expression("1e200·X")
+    value, bound = ex.eval_with_bound(e, ONE)
+    assert value == Quaternion(1e200) and bound == pytest.approx(2e200 + 1)
+    assert ex.zero_test(e, 0.01, np.random.default_rng(0)) == "non-zero"
+
+
 def test_eval_examples():
     assert (ex.eval_at(ex.parse_expression("(X+i)·(X-i)"), J) - 2 * K).norm() <= 1e-15
     assert (ex.eval_at(ex.parse_expression(ROOTLESS), J)

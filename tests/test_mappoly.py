@@ -77,6 +77,13 @@ def test_mul_fast_matches_naive():
     assert mp.random_quadruple(3, rng).mul_fast(z).is_zero()
 
 
+@pytest.mark.filterwarnings("error")
+def test_mul_fast_overflow_raises():
+    p = mp.QuadruplePoly.constant(Quaternion(1e200, 0, 1e200, 0))
+    with pytest.raises(NonFiniteValue, match="overflow"):
+        p.mul_fast(p.mul_fast(mp.QuadruplePoly.variable()))
+
+
 def test_mul_fast_unequal_and_prime_extents():
     # product boxes (3, 4, 3, 5) and (11, 2, 5, 13): mostly prime extents
     rng = np.random.default_rng(17)

@@ -136,10 +136,13 @@ def test_multieval_fast_matches_naive(n):
         xs[1] = Quaternion(0.1, -0.5, 1e-13, 0)
         xs[2] = Quaternion(-0.2)
         xs[3] = Quaternion(0.4, 0.1, 0, 0)
-    fast = os_.multieval_fast(p, xs)
-    naive = os_.multieval_naive(p, xs)
-    for f, w in zip(fast, naive):
-        assert (f - w).norm() <= 1e-7 * max(w.norm(), 1e-9)
+    # the lower half-plane and real points keep u = 1, the degenerate
+    # axis takes u = j; both polynomial kinds lift through the same table
+    for poly in (p, os_.random_one_sided(n, rng)):
+        fast = os_.multieval_fast(poly, xs)
+        naive = os_.multieval_naive(poly, xs)
+        for f, w in zip(fast, naive):
+            assert (f - w).norm() <= 1e-7 * max(w.norm(), 1e-9)
 
 
 def test_multieval_one_sided_and_real_points():
@@ -322,6 +325,28 @@ def test_nbody_matches_naive():
     naive = os_.nbody_naive(poles, xs)
     for f, w in zip(fast, naive):
         assert (f - w).norm() <= 1e-7 * max(w.norm(), 1e-9)
+
+
+@pytest.mark.parametrize("n_poles", [16, 1024])
+def test_nbody_special_conjugators_match_naive(n_poles):
+    # u = 1 at complex points in the lower half-plane and at real points
+    # (here midway between adjacent poles and outside their range), u = j
+    # on the degenerate axis; 1024 poles at 1024 points take the hierarchy
+    rng = np.random.default_rng(13)
+    poles = rng.uniform(-1, 1, n_poles)
+    srt = np.sort(poles)
+    special = [Quaternion(0.3, -0.9, 0, 0), Quaternion(-0.4, -0.2, 0, 0),
+               Quaternion(0.7, -1e-3, 0, 0),
+               Quaternion(0.5 * (srt[0] + srt[1])), Quaternion(0.5 * (srt[-2] + srt[-1])),
+               Quaternion(1.5), Quaternion(-1.25),
+               Quaternion(0.1, -0.5, 1e-13, 0), Quaternion(0.1, -0.5, 0, -1e-13)]
+    xs = special + [random_quaternion(rng) for _ in range(1024 - len(special))]
+    fast = os_.nbody_multieval(poles, xs)
+    naive = os_.nbody_naive(poles, special)
+    for x, f, w in zip(special, fast, naive):
+        scale = sum((x - Quaternion(a)).inverse().norm() for a in poles)
+        assert (f - w).norm() <= 1e-9 * scale, x
+        assert (f - w).norm() <= 1e-7 * max(w.norm(), 1e-9), x
 
 
 def test_nbody_pole_collision():

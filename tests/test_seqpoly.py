@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from quatpoly.errors import NonFiniteValue
 from quatpoly.quaternion import I, J, K, Quaternion
 from quatpoly.seqpoly import QSeq, add, convolve_fast, convolve_naive, random_qseq
 
@@ -90,3 +92,16 @@ def test_real_sequences_commute():
 def test_non_commutativity_witness():
     a, b = QSeq([I]), QSeq([J])
     assert convolve_naive(a, b) != convolve_naive(b, a)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("conv", [convolve_fast, convolve_naive])
+def test_convolve_overflow_raises(conv):
+    # 1e200 * 1e200 leaves the double range: a library error, not inf or
+    # NaN coefficients with a numpy warning
+    a = QSeq([Quaternion(1e200), Quaternion(1e200)])
+    b = QSeq([Quaternion(0, 1e200), Quaternion(0, 1e200)])
+    with pytest.raises(NonFiniteValue):
+        conv(a, b)
+    big = QSeq([Quaternion(1e150, 1e150)])
+    assert (conv(big, big)[0] - Quaternion(0, 2e300)).norm() <= 1e-15 * 2e300
