@@ -9,6 +9,7 @@ seed, so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -112,6 +113,18 @@ def _bench_mul1(n, rng):
     return lambda: p.mul_fast(q)
 
 
+def _bench_expand(n, rng):
+    # the alternating product X·c1·X·c2···X·cn of degree n, constants along
+    # random units; balanced expansion multiplies many of its partial
+    # products by a constant
+    factors = []
+    for _ in range(n):
+        unit = ("", "i", "j", "k")[int(rng.integers(0, 4))]
+        factors += ["X", f"{rng.uniform(0.5, 2.0):.3f}{unit}"]
+    e = expr_mod.parse_expression("·".join(factors))
+    return lambda: expr_mod.expand(e)
+
+
 def _bench_affine(n, rng):
     p = mappoly.random_quadruple(n, rng)
     t = rng.uniform(-1.0, 1.0, (4, 4)) + 2.0 * np.eye(4)
@@ -146,6 +159,7 @@ def _bench_interpolate(n, rng):
 _BENCH_OPS = {
     "affine": _bench_affine,
     "convolve": _bench_convolve,
+    "expand": _bench_expand,
     "interpolate": _bench_interpolate,
     "multieval": _bench_multieval,
     "mul1": _bench_mul1,
@@ -246,10 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process; parsing leaves it as
+    it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,6 +11,13 @@ Multiplication combines the sixteen pairwise component products with the
 basis sign table.  The fast path transforms each factor's table with a
 four-dimensional real FFT on the product box, multiplies the spectra
 pointwise as quaternions with complex components, and transforms back.
+A degree-d table lives on the simplex e0 + ... + e3 <= d, so the
+transforms are pruned to it: the forward one skips the e3 fibres with
+e0 + e1 + e2 > d and the e2 fibres with e0 + e1 > d, which hold only
+zeros, and the inverse skips the fibres that reach no entry of the
+product's simplex, whose entries beyond it are exactly 0.  Spectra are
+held component-first, so their Hamilton product runs on contiguous
+blocks, in place.  A constant factor multiplies the other table directly.
 The schoolbook scatter product of the components stays as the oracle.
 
 A grid's affine image x -> M.x + b is evaluated by substituting the map
@@ -29,12 +36,14 @@ whole quadruple.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg import lu
 
 from . import complexpoly
 from .errors import EmptySampleSet, NonFiniteValue, ParseError, SingularTransform
-from .qarray import qmul
+from .qarray import qmul, qmul_into
 from .quaternion import Quaternion
 
 #: entries below this fraction of the largest one do not count for degrees
@@ -53,9 +62,16 @@ def _finite(name: str, value) -> np.ndarray:
     return arr
 
 
-def _simplex_mask(degree: int) -> np.ndarray:
-    idx = np.indices((degree + 1,) * 4).sum(axis=0)
-    return idx <= degree
+@functools.lru_cache(maxsize=64)
+def _exponent_sums(box) -> np.ndarray:
+    """e0 + ... + e(n-1) over the exponent box `box`, shared read-only."""
+    return _read_only(np.indices(box).sum(axis=0))[0]
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 class _TablePoly:
@@ -144,9 +160,12 @@ class RPoly4(_TablePoly):
         return RPoly4(_scatter_mul(self.table, other.table))
 
     def mul_fast(self, other: "RPoly4") -> "RPoly4":
-        """Product by four-dimensional real FFTs on the product box."""
+        """Product by four-dimensional real FFTs on the product box,
+        pruned to the factors' support simplices."""
         shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
-        return RPoly4(_unpack(_pack(self.table, shape) * _pack(other.table, shape), shape))
+        da, db = _support_degree(self.table), _support_degree(other.table)
+        return RPoly4(_unpack(_pack(self.table, shape, da) * _pack(other.table, shape, db),
+                              shape, da + db))
 
 
 def _trimmed_degree(table):
@@ -161,7 +180,7 @@ def _trimmed_degree(table):
     if peak == 0.0:
         return NEG_INF
     mask = np.any(mag > DEGREE_TRIM_REL * peak, axis=tuple(range(4, table.ndim)))
-    degrees = np.indices(mask.shape).sum(axis=0)[mask]
+    degrees = _exponent_sums(mask.shape)[mask]
     return int(np.max(degrees)) if degrees.size else NEG_INF
 
 
@@ -180,19 +199,86 @@ def _scatter_mul(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(table: np.ndarray, shape) -> np.ndarray:
+def _support_degree(table: np.ndarray) -> int:
+    """Largest e0 + e1 + e2 + e3 with a nonzero entry, trailing axes
+    included; -1 for a zero table.  Nothing is trimmed: this bounds the
+    support exactly, so a transform pruned to it loses no entry."""
+    nonzero = table != 0.0
+    if table.ndim > 4:
+        nonzero = np.any(nonzero, axis=tuple(range(4, table.ndim)))
+    degrees = _exponent_sums(nonzero.shape)[nonzero]
+    return int(degrees.max()) if degrees.size else -1
+
+
+@functools.lru_cache(maxsize=64)
+def _lines(box, shape, degree):
+    """The e3 fibres of the exponent box `box` with e0 + e1 + e2 <= degree:
+    their flat indices in (a0, a1, a2) and in (s0, s1, s2) of `shape`,
+    and the mask of their entries beyond the degree simplex."""
+    e0, e1, e2 = np.nonzero(_exponent_sums(box[:3]) <= degree)
+    beyond = (e0 + e1 + e2)[:, None] + np.arange(shape[3]) > degree
+    return _read_only(np.ravel_multi_index((e0, e1, e2), box[:3]),
+                      np.ravel_multi_index((e0, e1, e2), shape[:3]), beyond)
+
+
+def _pack(table: np.ndarray, shape, degree: int) -> np.ndarray:
     """Real spectrum over the four exponent axes of `table` zero-padded to
-    `shape`; trailing axes are carried along untransformed.
+    `shape`, component-first: trailing axes of the table lead, so a
+    QuadruplePoly table gives (4, s0, s1, s2, s3 // 2 + 1).
 
-    A product box of `shape` holds every exponent sum of its factors, so
-    the cyclic convolution of two spectra never wraps around.
+    `degree` is the exact support degree (`_support_degree`).  Entries
+    beyond it are zero, and so are the fibres that hold only such
+    entries: the rfft along e3 runs only on fibres with
+    e0 + e1 + e2 <= degree, the fft along e2 only where e0 + e1 <= degree,
+    and e1 and e0 are transformed in full (a pruned FFT).  All but the
+    first run in place.  The axes go in numpy's rfftn order, so the
+    spectrum equals rfftn's.  A product box of `shape` holds every
+    exponent sum of its factors, so the cyclic convolution of two spectra
+    never wraps around.
     """
-    return np.fft.rfftn(table, s=shape, axes=range(4))
+    a0, a1, a2, a3 = table.shape[:4]
+    s0, s1, s2, s3 = shape
+    lead = table.shape[4:]
+    fibres = table.reshape(a0 * a1 * a2, a3, -1)
+    comps = fibres.shape[-1]
+    spec = np.zeros((comps, s0, s1, s2, s3 // 2 + 1), dtype=np.complex128)
+    lines, lines_at, _ = _lines(table.shape[:4], tuple(shape), degree)
+    spec.reshape(comps, s0 * s1 * s2, -1)[:, lines_at] = np.moveaxis(
+        np.fft.rfft(fibres[lines], n=s3, axis=1), 2, 0)
+    for e0 in range(min(a0, degree + 1)):
+        planes = spec[:, e0, :min(a1, degree + 1 - e0)]
+        np.fft.fft(planes, n=s2, axis=2, out=planes)
+    np.fft.fft(spec[:, :a0], n=s1, axis=2, out=spec[:, :a0])
+    np.fft.fft(spec, n=s0, axis=1, out=spec)
+    return spec.reshape(lead + spec.shape[1:])
 
 
-def _unpack(spectrum: np.ndarray, shape) -> np.ndarray:
-    """Coefficient table of `shape` back from a `_pack` spectrum."""
-    return np.fft.irfftn(spectrum, s=shape, axes=range(4))
+def _unpack(spectrum: np.ndarray, shape, degree: int) -> np.ndarray:
+    """Coefficient table of `shape` back from a `_pack` spectrum of a
+    product whose support degree is at most `degree`; the spectrum's
+    leading axes become the table's trailing ones.  The spectrum is
+    overwritten.
+
+    The inverse runs along e0 and e1 in full, along e2 only on fibres
+    with e0 + e1 <= degree and the irfft along e3 only where
+    e0 + e1 + e2 <= degree; all but the last run in place.  Entries on the
+    degree simplex equal irfftn's, and every entry beyond it is exactly 0.
+    """
+    s0, s1, s2, s3 = shape
+    lead = spectrum.shape[:-4]
+    spec = spectrum.reshape((-1,) + spectrum.shape[-4:])
+    comps = spec.shape[0]
+    np.fft.ifft(spec, n=s0, axis=1, out=spec)
+    np.fft.ifft(spec, n=s1, axis=2, out=spec)
+    for e0 in range(min(s0, degree + 1)):
+        planes = spec[:, e0, :min(s1, degree + 1 - e0)]
+        np.fft.ifft(planes, n=s2, axis=2, out=planes)
+    _, lines_at, beyond = _lines(tuple(shape), tuple(shape), degree)
+    lines = np.fft.irfft(spec.reshape(comps, s0 * s1 * s2, -1)[:, lines_at], n=s3, axis=2)
+    lines[:, beyond] = 0.0
+    table = np.zeros((s0 * s1 * s2, s3, comps))
+    table[lines_at] = np.moveaxis(lines, 0, 2)
+    return table.reshape(tuple(shape) + lead)
 
 
 def _power_vectors(extents, coords):
@@ -257,15 +343,23 @@ class QuadruplePoly(_TablePoly):
         return QuadruplePoly(_combine16(prod))
 
     def mul_fast(self, other: "QuadruplePoly") -> "QuadruplePoly":
-        """FFT product: the spectra of both tables, components on the
-        trailing axis, are multiplied pointwise as quaternions.  Raises
-        NonFiniteValue when a coefficient overflows.
+        """FFT product: the component-first spectra of both tables, pruned
+        to their support simplices, are multiplied pointwise as
+        quaternions and transformed back; entries beyond the degree
+        simplex of the product are exactly 0.  A constant factor (a
+        (1, 1, 1, 1) box) multiplies the other table directly, with no
+        FFT.  Raises NonFiniteValue when a coefficient overflows.
         """
         if self.is_zero() or other.is_zero():
             return QuadruplePoly.zero()
         shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
         with np.errstate(over="ignore", invalid="ignore"):
-            table = _unpack(qmul(_pack(self.table, shape), _pack(other.table, shape)), shape)
+            if self.extents == (1, 1, 1, 1) or other.extents == (1, 1, 1, 1):
+                table = qmul(self.table, other.table)
+            else:
+                da, db = _support_degree(self.table), _support_degree(other.table)
+                pa, pb = _pack(self.table, shape, da), _pack(other.table, shape, db)
+                table = _unpack(qmul_into(pa, pb, pa), shape, da + db)
         if not np.all(np.isfinite(table)):
             raise NonFiniteValue("product coefficients overflow")
         return QuadruplePoly(table)
@@ -327,7 +421,7 @@ class QuadruplePoly(_TablePoly):
             return QuadruplePoly.zero()
         size = int(deg) + 1
         table = self.padded(np.maximum(self.extents, size))[(slice(size),) * 4]
-        table[~_simplex_mask(size - 1)] = 0.0
+        table[_exponent_sums(table.shape[:4]) >= size] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             table = _subst_table(table, t, y)
         if not np.all(np.isfinite(table)):
@@ -474,7 +568,8 @@ def random_quadruple(degree: int, rng, scale: float = 1.0) -> QuadruplePoly:
     if degree < 0:
         return QuadruplePoly.zero()
     t = rng.uniform(-scale, scale, size=(4,) + (degree + 1,) * 4)
-    return QuadruplePoly(np.where(_simplex_mask(degree)[..., None], np.moveaxis(t, 0, -1), 0.0))
+    on = _exponent_sums((degree + 1,) * 4) <= degree
+    return QuadruplePoly(np.where(on[..., None], np.moveaxis(t, 0, -1), 0.0))
 
 
 def default_sample_set(p: QuadruplePoly) -> np.ndarray:

@@ -457,14 +457,26 @@ def nbody_multieval(poles, xs) -> list:
 
 
 def nbody_naive(poles, xs) -> list:
-    """Direct summation oracle for the N-body kernel."""
-    out = []
-    for x in xs:
-        acc = Quaternion()
-        for a in poles:
-            acc = acc + (x - Quaternion(a)).inverse()
-        out.append(acc)
-    return out
+    """Direct summation oracle for the N-body kernel: one pole at a time,
+    (x - a)^-1 is added for every point of the (n, 4) array at once.
+
+    Each difference is inverted as `Quaternion.inverse` does, scaled by the
+    power of two of its largest |component|, so a point 1e-170 from a pole
+    gives a finite sum.  A point equal to a pole raises ZeroDivisionError.
+    """
+    pts = from_quaternions(xs)
+    acc = np.zeros_like(pts)
+    for a in np.asarray(poles, dtype=float).ravel():
+        diff = pts.copy()
+        diff[:, 0] -= a
+        big = np.max(np.abs(diff), axis=1)
+        if not np.all(big):
+            raise ZeroDivisionError(f"point {int(np.argmin(big))} is the pole {float(a)!r}")
+        shift = -np.frexp(big)[1][:, None]
+        diff = np.ldexp(diff, shift)
+        diff[:, 1:] *= -1.0
+        acc += np.ldexp(diff / np.sum(diff * diff, axis=1, keepdims=True), shift)
+    return to_quaternions(acc)
 
 
 # -- random generators -----------------------------------------------------------

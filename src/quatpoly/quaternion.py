@@ -125,15 +125,24 @@ class Quaternion:
     __abs__ = norm
 
     def inverse(self):
-        n2 = self.norm_sq()
-        if n2 == 0.0:
+        """conj / |x|^2, taken on the quaternion scaled by the power of two
+        of its largest |component|: the scaling is exact, so the result
+        equals the unscaled formula wherever that does not overflow or
+        underflow, and it is finite and nonzero whenever the inverse lies
+        in the double range."""
+        s = max(abs(self.re), abs(self.im_i), abs(self.im_j), abs(self.im_k))
+        if s == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.re / n2, -self.im_i / n2, -self.im_j / n2, -self.im_k / n2)
+        e = -math.frexp(s)[1]
+        a0, a1, a2, a3 = (math.ldexp(c, e) for c in self.components())
+        n2 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+        return Quaternion(math.ldexp(a0 / n2, e), math.ldexp(-a1 / n2, e),
+                          math.ldexp(-a2 / n2, e), math.ldexp(-a3 / n2, e))
 
     def imag_norm(self):
-        """Euclidean norm of the imaginary part."""
-        return math.sqrt(self.im_i * self.im_i + self.im_j * self.im_j
-                         + self.im_k * self.im_k)
+        """Euclidean norm of the imaginary part; `hypot` scales, so it
+        overflows only when the norm exceeds the double range."""
+        return math.hypot(self.im_i, self.im_j, self.im_k)
 
     def is_zero(self):
         return self.norm_sq() == 0.0

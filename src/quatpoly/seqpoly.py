@@ -8,7 +8,9 @@ sequence does not commute with the convolution product over quaternions.
 The fast product transforms the four real component sequences of each
 operand with real FFTs, multiplies the spectra pointwise as quaternions
 with complex components, and transforms back; the naive double loop
-stays as the oracle.
+stays as the oracle.  Spectra are held component-first, one row per
+component, so the transforms run along contiguous rows and the Hamilton
+product writes into a preallocated block (`qarray.qmul_into`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import complexpoly
 from .errors import NonFiniteValue
-from .qarray import from_quaternions, qmul, to_quaternions
+from .qarray import from_quaternions, qmul, qmul_into, to_quaternions
 from .quaternion import Quaternion
 
 
@@ -32,7 +34,7 @@ class QSeq:
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2 and coeffs.shape[1] == 4:
-            self.comps = np.array(coeffs, dtype=float)
+            self.comps = np.array(coeffs, dtype=float, order="C")
         else:
             self.comps = from_quaternions(coeffs)
 
@@ -93,8 +95,10 @@ def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
     """FFT convolution: real transforms of the four component sequences,
     the Hamilton product of the spectra, one inverse transform.
 
-    Matches `convolve_naive` up to rounding; raises NonFiniteValue when a
-    coefficient overflows.
+    The components are transformed component-first, as rows of one
+    ``(3, 4, size // 2 + 1)`` work block that holds both spectra and their
+    product.  Matches `convolve_naive` up to rounding; raises
+    NonFiniteValue when a coefficient overflows.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
@@ -103,12 +107,12 @@ def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
     size = complexpoly._next_pow2(out_len)
     # one block for both spectra and their product: freed separately, large
     # temporaries go back to the OS and fault in again on every call
-    work = np.empty((3, size // 2 + 1, 4), dtype=np.complex128)
+    work = np.empty((3, 4, size // 2 + 1), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.fft.rfft(a.comps, n=size, axis=0, out=work[0])
-        np.fft.rfft(b.comps, n=size, axis=0, out=work[1])
-        work[2] = qmul(work[0], work[1])
-        out = np.fft.irfft(work[2], n=size, axis=0)[:out_len]
+        np.fft.rfft(a.comps.T, n=size, axis=-1, out=work[0])
+        np.fft.rfft(b.comps.T, n=size, axis=-1, out=work[1])
+        qmul_into(work[0], work[1], work[2])
+        out = np.fft.irfft(work[2], n=size, axis=-1)[:, :out_len].T
     return _finite_product(out)
 
 

@@ -223,6 +223,44 @@ def test_bench_mul1_scaling(capsys):
         assert t2 / t1 <= 2.5 * ((2 * d2 + 1) / (2 * d1 + 1)) ** 4, (d1, d2, t2 / t1)
 
 
+def test_bench_expand_scaling(capsys):
+    # the top product of a degree-n expansion works on the (n+1)^4 box, so
+    # doubling n may cost at most 2.5 times ((n2 + 1) / (n1 + 1))^4: 26 for
+    # 4 -> 8 and 32 for 8 -> 16
+    sizes = [4, 8, 16]
+    code, out, _ = run_main(capsys, ["bench", "--op", "expand", "--sizes",
+                                     ",".join(map(str, sizes)), "--repeats", "5"])
+    assert code == 0
+    times = [float(ln.split(",")[1]) for ln in out.strip().splitlines()[1:]]
+    for (n1, t1), (n2, t2) in zip(zip(sizes, times), zip(sizes[1:], times[1:])):
+        assert t2 / t1 <= 2.5 * ((n2 + 1) / (n1 + 1)) ** 4, (n1, n2, t2 / t1)
+
+
+def test_successive_main_calls_keep_their_exit_codes(capsys, tmp_path):
+    # main parses with one parser per process; nothing of one call may
+    # leak into the next
+    (tmp_path / "a.txt").write_text("1\ni\n")
+    (tmp_path / "b.txt").write_text("j\n")
+    calls = [
+        (["eval", "-e", "X", "-x", "j"], 0),
+        (["nosuch"], 2),
+        ([], 2),
+        (["zerotest", "-e", "X", "--epsilon", "2"], 2),
+        (["convolve", "-a", str(tmp_path / "a.txt"), "-b", str(tmp_path / "b.txt"),
+          "--naive"], 0),
+        (["convolve", "-a", str(tmp_path / "a.txt")], 2),
+        (["bench", "--op", "nosuch", "--sizes", "2"], 2),
+        (["interpolate", "-x", str(tmp_path / "a.txt"), "-y", str(tmp_path / "nofile")], 2),
+        (["eval", "-e", "X", "-x", "j"], 0),
+    ]
+    for _ in range(2):
+        for argv, want in calls:
+            assert run_main(capsys, argv)[0] == want, argv
+    code, out, _ = run_main(capsys, ["convolve", "-a", str(tmp_path / "a.txt"),
+                                     "-b", str(tmp_path / "b.txt")])
+    assert code == 0 and len(parse_quaternion_lines(out)) == 2
+
+
 @pytest.mark.skipif(shutil.which("quatpoly") is None,
                     reason="console script not installed")
 def test_installed_entry_point():

@@ -3,6 +3,7 @@ import pytest
 
 from quatpoly import mappoly as mp
 from quatpoly.errors import EmptySampleSet, NonFiniteValue, ParseError, SingularTransform
+from quatpoly.qarray import qmul
 from quatpoly.quaternion import I, J, K, Quaternion, random_quaternion
 
 ONE = Quaternion(1)
@@ -106,6 +107,86 @@ def test_mul_fast_unequal_and_prime_extents():
                               for e in (eb, eb, ea, (2, 1, 1, 3))])
         naive = p.mul_naive(q)
         assert mp.max_coeff_diff(p.mul_fast(q), naive) <= 1e-12 * mp.coeff_scale(naive)
+
+
+def degree_sums(shape):
+    return np.indices(shape[:4]).sum(axis=0)
+
+
+def unpruned_product(p, q):
+    # the transform of the whole product box, as rfftn / irfftn do it
+    shape = tuple(a + b - 1 for a, b in zip(p.extents, q.extents))
+    spectra = [np.fft.rfftn(t.table, s=shape, axes=range(4)) for t in (p, q)]
+    return np.fft.irfftn(qmul(*spectra), s=shape, axes=range(4))
+
+
+def test_mul_fast_is_the_unpruned_product_on_the_simplex_and_zero_beyond():
+    rng = np.random.default_rng(23)
+    for da, db in [(10, 10), (3, 7), (5, 2), (1, 1)]:
+        p, q = mp.random_quadruple(da, rng), mp.random_quadruple(db, rng)
+        got = p.mul_fast(q).table
+        on = degree_sums(got.shape) <= da + db
+        assert np.array_equal(got[on], unpruned_product(p, q)[on])
+        assert not np.any(got[~on])
+
+
+@pytest.mark.parametrize("ea, eb", [((3, 3, 3, 3), (2, 2, 2, 2)),
+                                    ((7, 2, 3, 6), (5, 1, 3, 8)),
+                                    ((1, 5, 1, 2), (4, 1, 2, 1))])
+def test_mul_fast_box_dense_tables(ea, eb):
+    # every entry of both boxes is set, far off the simplex of the largest
+    # extent; prime product extents 11, 2, 5 and 13 included
+    rng = np.random.default_rng(24)
+    p = mp.QuadruplePoly(rng.uniform(-1, 1, ea + (4,)))
+    q = mp.QuadruplePoly(rng.uniform(-1, 1, eb + (4,)))
+    naive = p.mul_naive(q)
+    fast = p.mul_fast(q)
+    assert fast.extents == naive.extents
+    assert mp.max_coeff_diff(fast, naive) <= 1e-12 * mp.coeff_scale(naive)
+    assert mp._support_degree(fast.table) == sum(ea) + sum(eb) - 8
+
+
+def test_mul_fast_keeps_a_tiny_top_degree_entry():
+    # 1e-300 X0^3 lies below the degree trim, yet it is in the support: a
+    # transform pruned to the trimmed degree 0 would drop its fibre
+    table = np.zeros((4, 1, 1, 1, 4))
+    table[0, 0, 0, 0] = (1.0, 0.5, 0.0, 0.0)
+    table[3, 0, 0, 0, 2] = 1e-300
+    p = mp.QuadruplePoly(table)
+    assert p.degree == 0 and mp._support_degree(table) == 3
+    shape = (7, 4, 4, 4)
+    assert np.array_equal(mp._pack(table, shape, 3),
+                          np.moveaxis(np.fft.rfftn(table, s=shape, axes=range(4)), -1, 0))
+    q = mp.random_quadruple(3, np.random.default_rng(25))
+    got, naive = p.mul_fast(q), p.mul_naive(q)
+    assert mp._support_degree(got.table) == 6
+    assert mp.max_coeff_diff(got, naive) <= 1e-12 * mp.coeff_scale(naive)
+    tiny = mp.QuadruplePoly(np.where(degree_sums(table.shape)[..., None] == 3, table, 0.0))
+    assert np.max(np.abs(tiny.mul_fast(q).table - tiny.mul_naive(q).table)) <= 1e-312
+
+
+def test_mul_fast_constant_factor_is_the_broadcast_product():
+    rng = np.random.default_rng(26)
+    p = mp.random_quadruple(4, rng)
+    c = mp.QuadruplePoly.constant(random_quaternion(rng))
+    assert np.array_equal(c.mul_fast(p).table, qmul(c.table, p.table))
+    assert np.array_equal(p.mul_fast(c).table, qmul(p.table, c.table))
+    assert np.array_equal(c.mul_fast(c).table, qmul(c.table, c.table))
+    assert c.mul_fast(mp.QuadruplePoly.zero()).is_zero()
+
+
+def test_rpoly4_mul_fast_matches_naive():
+    rng = np.random.default_rng(27)
+    for ea, eb in [((3, 3, 3, 3), (4, 2, 1, 5)), ((1, 1, 1, 1), (2, 3, 2, 2)),
+                   ((6, 1, 1, 1), (1, 1, 1, 6))]:
+        a = mp.RPoly4(rng.uniform(-1, 1, ea))
+        b = mp.RPoly4(rng.uniform(-1, 1, eb))
+        fast, naive = a.mul_fast(b).table, a.mul_naive(b).table
+        assert fast.shape == naive.shape
+        assert np.max(np.abs(fast - naive)) <= 1e-12 * np.max(np.abs(naive))
+    zero = mp.RPoly4(np.zeros((2, 3, 1, 2)))
+    assert not np.any(zero.mul_fast(a).table)
+    assert zero.mul_fast(a).table.shape == (7, 3, 1, 2)
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2, 2, 3), (2, 2, 2, 4), (2, 2, 2, 2, 2, 4)])

@@ -327,6 +327,44 @@ def test_nbody_matches_naive():
         assert (f - w).norm() <= 1e-7 * max(w.norm(), 1e-9)
 
 
+def test_nbody_naive_is_the_sum_of_scalar_inverses():
+    rng = np.random.default_rng(28)
+    poles = rng.uniform(-1, 1, 40)
+    xs = [random_quaternion(rng) for _ in range(30)] + [Quaternion(0.25), Quaternion(0, 2)]
+    for x, got in zip(xs, os_.nbody_naive(poles, xs)):
+        want = Quaternion()
+        for a in poles:
+            want = want + (x - Quaternion(a)).inverse()
+        assert got == want
+    with pytest.raises(ZeroDivisionError, match="point 1 is the pole 0.5"):
+        os_.nbody_naive([0.0, 0.5], [Quaternion(1), Quaternion(0.5)])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_nbody_naive_is_scale_free(scale):
+    # sum (x s - a s)^-1 = sum (x - a)^-1 / s, where |x - a|^2 s^2 leaves
+    # the double range
+    rng = np.random.default_rng(29)
+    poles = rng.uniform(-1, 1, 8)
+    xs = [random_quaternion(rng) for _ in range(8)]
+    unit = os_.nbody_naive(poles, xs)
+    scaled = os_.nbody_naive(poles * scale, [x * scale for x in xs])
+    for got, want in zip(scaled, unit):
+        assert (got * scale - want).norm() <= 1e-14 * want.norm()
+    assert (os_.nbody_naive([0.0], [Quaternion(0, 1e-170)])[0]
+            - Quaternion(0, -1e170)).norm() <= 1e-15 * 1e170
+
+
+def test_nbody_multieval_at_a_huge_point():
+    # |Im x| = 1.4e200 squares past the double range; the rotation takes it
+    # with hypot
+    x = Quaternion(0.5, 1e200, 1e200, 0)
+    got = os_.nbody_multieval([0.0], [x])[0]
+    want = os_.nbody_naive([0.0], [x])[0]
+    assert (got - want).norm() <= 1e-12 * want.norm()
+    assert (want - Quaternion(0, -5e-201, -5e-201, 0)).norm() <= 1e-15 * want.norm()
+
+
 @pytest.mark.parametrize("n_poles", [16, 1024])
 def test_nbody_special_conjugators_match_naive(n_poles):
     # u = 1 at complex points in the lower half-plane and at real points
@@ -403,8 +441,9 @@ def test_vandermonde_invertible_stays_finite_for_large_systems():
 def test_non_finite_points_raise(entry):
     call = {"multieval": lambda xs: os_.multieval_fast(x2_plus_1(), xs),
             "nbody": lambda xs: os_.nbody_multieval([0.0, 0.5], xs)}[entry]
+    # |Im x| of the last point is 2.1e308, past the double range
     for bad in (Quaternion(0.1, np.inf, 0, 0.2), Quaternion(np.nan, 0, 0, 0),
-                Quaternion(0.3, 0, 0, -np.inf), Quaternion(0, 1e308, 1e308, 0)):
+                Quaternion(0.3, 0, 0, -np.inf), Quaternion(0, 1.5e308, 1.5e308, 0)):
         with pytest.raises(NonFiniteValue):
             call([Quaternion(0.3, 0.1, 0.2, 0), bad])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quatpoly.errors import ParseError, ZeroConjugator
-from quatpoly.qarray import qmul
+from quatpoly.qarray import qmul, qmul_into
 from quatpoly.quaternion import (
     BASIS, I, J, K, ONE, Quaternion, apply_automorphism, auto_equivalent,
     format_quaternion, parse_quaternion, random_quaternion, rotation_to_complex,
@@ -68,6 +68,32 @@ def test_inverse_law():
             continue
         assert (a * a.inverse() - ONE).norm() <= 1e-12
         assert (a.inverse() * a - ONE).norm() <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_inverse_and_imag_norm_are_scale_free(scale):
+    # |x|^2 over- or underflows at these scales; the inverse of the scaled
+    # quaternion is the inverse of the unit one scaled back
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        a = random_quaternion(rng, 3.0)
+        want = a.inverse() * (1.0 / scale)
+        got = (a * scale).inverse()
+        assert (got - want).norm() <= 1e-15 * want.norm()
+        assert (a * scale).imag_norm() == pytest.approx(a.imag_norm() * scale, rel=1e-15)
+    assert Quaternion(scale).inverse() == Quaternion(1.0 / scale)
+    assert Quaternion(0, 0, -scale).inverse() == Quaternion(0, 0, 1.0 / scale)
+    y = rotation_to_complex(Quaternion(0.5, scale, scale, 0))[1]
+    assert y.re == 0.5 and y.imag_norm() == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
+
+
+def test_inverse_equals_unscaled_formula_in_range():
+    # the power-of-two scaling is exact, so in range nothing changes
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        a = Quaternion(*(rng.standard_normal(4) * 10.0 ** rng.integers(-8, 8)))
+        n2 = a.norm_sq()
+        assert a.inverse() == Quaternion(a.re / n2, -a.im_i / n2, -a.im_j / n2, -a.im_k / n2)
 
 
 def test_reals_commute_exactly():
@@ -201,3 +227,21 @@ def test_qmul_complex_components_bilinear():
             + 1j * (qmul(a.real, b.imag) + qmul(a.imag, b.real)))
     assert np.allclose(out, want, atol=1e-12)
     assert qmul([0, 1, 0, 0], [0, 0, 1, 0]).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_qmul_into_is_qmul_component_first():
+    # bit-identical to qmul on the component-last arrays, with `out` a
+    # fresh buffer or either factor, across block boundaries
+    rng = np.random.default_rng(21)
+    for shape in [(1,), (7, 3), (4097,), (3, 5000)]:
+        a, b = (rng.standard_normal((4,) + shape) + 1j * rng.standard_normal((4,) + shape)
+                for _ in range(2))
+        want = np.moveaxis(qmul(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
+        assert np.array_equal(qmul_into(a, b, np.empty_like(a)), want)
+        left, right = a.copy(), b.copy()
+        assert qmul_into(left, b, left) is left and np.array_equal(left, want)
+        assert qmul_into(a, right, right) is right and np.array_equal(right, want)
+        real = a.real.copy()
+        assert np.array_equal(qmul_into(real, real, np.empty_like(real)),
+                              np.moveaxis(qmul(np.moveaxis(real, 0, -1),
+                                               np.moveaxis(real, 0, -1)), -1, 0))

@@ -57,6 +57,18 @@ def test_convolve_fast_matches_naive():
         assert rel_diff(convolve_fast(a, b), convolve_naive(a, b)) <= 1e-9
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 15), (15, 3), (3, 5), (31, 33),
+                                  (129, 127), (1025, 1), (1023, 1025)])
+def test_convolve_fast_matches_naive_at_odd_lengths(n, m):
+    # lengths 1, 3 x 5 and 2^k +- 1: the real transform's half length is odd
+    # or even and the product block is not a power of two
+    rng = np.random.default_rng(22)
+    a, b = random_qseq(n, rng), random_qseq(m, rng)
+    fast = convolve_fast(a, b)
+    assert fast.comps.flags["C_CONTIGUOUS"]
+    assert rel_diff(fast, convolve_naive(a, b)) <= 1e-13
+
+
 def test_unit_identity_fast():
     rng = np.random.default_rng(3)
     a = random_qseq(40, rng)
