@@ -8,13 +8,17 @@ as one coefficient table of shape (e0, e1, e2, e3, 4), component m in
 ``table[..., m]``; `QuadruplePoly.comps` are `RPoly4` views of it.
 
 Multiplication combines the sixteen pairwise component products with the
-basis sign table.  The fast path transforms each factor's table with a
-four-dimensional real FFT on the product box, multiplies the spectra
-pointwise as quaternions with complex components, and transforms back.
-A degree-d table lives on the simplex e0 + ... + e3 <= d, so the
-transforms are pruned to it: the forward one skips the e3 fibres with
-e0 + e1 + e2 > d and the e2 fibres with e0 + e1 > d, which hold only
-zeros, and the inverse skips the fibres that reach no entry of the
+basis sign table.  The fast path folds each exponent pair (e0, e1) and
+(e2, e3) onto one cyclic axis by (u, v) -> u + A v mod N.  A degree-D
+product has its pairs on the triangle u + v <= D, and triangles pack
+the plane with density 2/3, so some A makes the fold injective there at
+N near 3 D^2 / 4 rather than (D + 1)^2.  The fold is a group
+homomorphism, so the cyclic product on Z_N1 x Z_N2 is the folded linear
+product, and a two-dimensional real FFT computes it: each factor's table
+is scattered onto the folded grid and transformed, the spectra are
+multiplied pointwise as quaternions with complex components, and the
+product is transformed back and gathered.  The rfft runs only on the
+rows a factor occupies and the inverse irfft only on the rows holding the
 product's simplex, whose entries beyond it are exactly 0.  Spectra are
 held component-first, so their Hamilton product runs on contiguous
 blocks, in place.  A constant factor multiplies the other table directly.
@@ -39,7 +43,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import lu
 
 from . import complexpoly
 from .errors import EmptySampleSet, NonFiniteValue, ParseError, SingularTransform
@@ -156,16 +159,29 @@ class RPoly4(_TablePoly):
         return cls(t)
 
     def mul_naive(self, other: "RPoly4") -> "RPoly4":
-        """Schoolbook product: scatter every coefficient pair."""
-        return RPoly4(_scatter_mul(self.table, other.table))
+        """Schoolbook product: scatter every coefficient pair.  Raises
+        NonFiniteValue when a coefficient overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return RPoly4(_finite_product(_scatter_mul(self.table, other.table)))
 
     def mul_fast(self, other: "RPoly4") -> "RPoly4":
-        """Product by four-dimensional real FFTs on the product box,
-        pruned to the factors' support simplices."""
+        """Product by a two-dimensional real FFT on the folded product
+        simplex (`_pack`).  Raises NonFiniteValue when a coefficient
+        overflows."""
         shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
         da, db = _support_degree(self.table), _support_degree(other.table)
-        return RPoly4(_unpack(_pack(self.table, shape, da) * _pack(other.table, shape, db),
-                              shape, da + db))
+        if min(da, db) < 0:
+            return RPoly4(np.zeros(shape))
+        folds = _folds(shape, da + db)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec = _pack(self.table, da, folds) * _pack(other.table, db, folds)
+            return RPoly4(_finite_product(_unpack(spec, shape, da + db, folds)))
+
+
+def _finite_product(table: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(table)):
+        raise NonFiniteValue("product coefficients overflow")
+    return table
 
 
 def _trimmed_degree(table):
@@ -210,74 +226,103 @@ def _support_degree(table: np.ndarray) -> int:
     return int(degrees.max()) if degrees.size else -1
 
 
-@functools.lru_cache(maxsize=64)
-def _lines(box, shape, degree):
-    """The e3 fibres of the exponent box `box` with e0 + e1 + e2 <= degree:
-    their flat indices in (a0, a1, a2) and in (s0, s1, s2) of `shape`,
-    and the mask of their entries beyond the degree simplex."""
-    e0, e1, e2 = np.nonzero(_exponent_sums(box[:3]) <= degree)
-    beyond = (e0 + e1 + e2)[:, None] + np.arange(shape[3]) > degree
-    return _read_only(np.ravel_multi_index((e0, e1, e2), box[:3]),
-                      np.ravel_multi_index((e0, e1, e2), shape[:3]), beyond)
+def _smooth(n: int) -> bool:
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
-def _pack(table: np.ndarray, shape, degree: int) -> np.ndarray:
-    """Real spectrum over the four exponent axes of `table` zero-padded to
-    `shape`, component-first: trailing axes of the table lead, so a
-    QuadruplePoly table gives (4, s0, s1, s2, s3 // 2 + 1).
+@functools.lru_cache(maxsize=256)
+def _fold(su: int, sv: int, degree: int):
+    """(N, A) such that (u, v) -> u + A v mod N is injective on the
+    exponent pairs P = {u < su, v < sv, u + v <= degree} of a product.
 
-    `degree` is the exact support degree (`_support_degree`).  Entries
-    beyond it are zero, and so are the fibres that hold only such
-    entries: the rfft along e3 runs only on fibres with
-    e0 + e1 + e2 <= degree, the fft along e2 only where e0 + e1 <= degree,
-    and e1 and e0 are transformed in full (a pruned FFT).  All but the
-    first run in place.  The axes go in numpy's rfftn order, so the
-    spectrum equals rfftn's.  A product box of `shape` holds every
-    exponent sum of its factors, so the cyclic convolution of two spectra
-    never wraps around.
+    The plain flattening (su sv, su) is injective on the whole box.  When
+    the degree cuts the box's corner, the smallest 7-smooth N below su sv
+    from max(|P|, 3 degree^2 / 4) upward that admits some A is taken,
+    with the least such A.  Lattice translates of a triangle cover at
+    most 2/3 of the plane (Fary, 1950), and N comes out near 3/4 of
+    (degree + 1)^2.  Every A of a candidate N is tested at once by
+    sorting the images.
     """
-    a0, a1, a2, a3 = table.shape[:4]
-    s0, s1, s2, s3 = shape
+    plain = (su * sv, su)
+    if degree >= su + sv - 2:
+        return plain
+    u, v = np.nonzero(np.add.outer(np.arange(su), np.arange(sv)) <= degree)
+    for n in filter(_smooth, range(max(u.size, -(-3 * degree * degree // 4)), su * sv)):
+        images = np.sort((u + np.arange(1, n)[:, None] * v) % n, axis=1)
+        hits = np.flatnonzero(np.all(np.diff(images, axis=1), axis=1))
+        if hits.size:
+            return n, 1 + int(hits[0])
+    return plain
+
+
+def _folds(shape, degree: int):
+    """The folds of the axis pairs (e0, e1) and (e2, e3) of a product box
+    `shape` whose support degree is `degree`."""
+    return _fold(shape[0], shape[1], degree), _fold(shape[2], shape[3], degree)
+
+
+@functools.lru_cache(maxsize=128)
+def _fold_map(box, degree: int, folds):
+    """Where the entries of the exponent box `box` with e0 + ... + e3 <=
+    degree go on the folded grid: their flat indices in `box`, the
+    distinct rows phi1(e0, e1) they occupy, and their flat indices in
+    (row rank, phi2(e2, e3)) of those rows."""
+    (n1, a1), (n2, a2) = folds
+    e0, e1, e2, e3 = np.nonzero(_exponent_sums(box) <= degree)
+    rows, rank = np.unique((e0 + a1 * e1) % n1, return_inverse=True)
+    return _read_only(np.ravel_multi_index((e0, e1, e2, e3), box), rows,
+                      rank * n2 + (e2 + a2 * e3) % n2)
+
+
+def _pack(table: np.ndarray, degree: int, folds) -> np.ndarray:
+    """Real spectrum of `table` folded onto the cyclic grid Z_N1 x Z_N2 of
+    `folds` (`_folds`), component-first: trailing axes of the table lead,
+    so a QuadruplePoly table gives (4, N1, N2 // 2 + 1).
+
+    `degree` is the exact support degree (`_support_degree`); the entries
+    up to it go to (phi1(e0, e1), phi2(e2, e3)), the rfft runs only on the
+    rows they occupy and the fft along the first fold in place.  The
+    spectrum equals rfft2's of the folded grid.  Each fold is a group
+    homomorphism that is injective on the product's exponent pairs, so
+    the cyclic product of two spectra is the folded linear product.
+    """
+    (n1, _), (n2, _) = folds
     lead = table.shape[4:]
-    fibres = table.reshape(a0 * a1 * a2, a3, -1)
-    comps = fibres.shape[-1]
-    spec = np.zeros((comps, s0, s1, s2, s3 // 2 + 1), dtype=np.complex128)
-    lines, lines_at, _ = _lines(table.shape[:4], tuple(shape), degree)
-    spec.reshape(comps, s0 * s1 * s2, -1)[:, lines_at] = np.moveaxis(
-        np.fft.rfft(fibres[lines], n=s3, axis=1), 2, 0)
-    for e0 in range(min(a0, degree + 1)):
-        planes = spec[:, e0, :min(a1, degree + 1 - e0)]
-        np.fft.fft(planes, n=s2, axis=2, out=planes)
-    np.fft.fft(spec[:, :a0], n=s1, axis=2, out=spec[:, :a0])
-    np.fft.fft(spec, n=s0, axis=1, out=spec)
+    flat = table.reshape(int(np.prod(table.shape[:4])), -1)
+    comps = flat.shape[1]
+    at, rows, to = _fold_map(table.shape[:4], degree, folds)
+    grid = np.zeros((comps, rows.size * n2))
+    grid[:, to] = flat[at].T
+    spec = np.zeros((comps, n1, n2 // 2 + 1), dtype=np.complex128)
+    spec[:, rows] = np.fft.rfft(grid.reshape(comps, rows.size, n2), axis=2)
+    np.fft.fft(spec, axis=1, out=spec)
     return spec.reshape(lead + spec.shape[1:])
 
 
-def _unpack(spectrum: np.ndarray, shape, degree: int) -> np.ndarray:
+def _unpack(spectrum: np.ndarray, shape, degree: int, folds) -> np.ndarray:
     """Coefficient table of `shape` back from a `_pack` spectrum of a
     product whose support degree is at most `degree`; the spectrum's
     leading axes become the table's trailing ones.  The spectrum is
     overwritten.
 
-    The inverse runs along e0 and e1 in full, along e2 only on fibres
-    with e0 + e1 <= degree and the irfft along e3 only where
-    e0 + e1 + e2 <= degree; all but the last run in place.  Entries on the
-    degree simplex equal irfftn's, and every entry beyond it is exactly 0.
+    The ifft along the first fold runs in place, the irfft only on the
+    rows that hold entries of the product's degree simplex, into the
+    spectrum's own memory, and those entries are gathered; every entry
+    beyond it is exactly 0.
     """
-    s0, s1, s2, s3 = shape
-    lead = spectrum.shape[:-4]
-    spec = spectrum.reshape((-1,) + spectrum.shape[-4:])
+    lead = spectrum.shape[:-2]
+    spec = spectrum.reshape((-1,) + spectrum.shape[-2:])
     comps = spec.shape[0]
-    np.fft.ifft(spec, n=s0, axis=1, out=spec)
-    np.fft.ifft(spec, n=s1, axis=2, out=spec)
-    for e0 in range(min(s0, degree + 1)):
-        planes = spec[:, e0, :min(s1, degree + 1 - e0)]
-        np.fft.ifft(planes, n=s2, axis=2, out=planes)
-    _, lines_at, beyond = _lines(tuple(shape), tuple(shape), degree)
-    lines = np.fft.irfft(spec.reshape(comps, s0 * s1 * s2, -1)[:, lines_at], n=s3, axis=2)
-    lines[:, beyond] = 0.0
-    table = np.zeros((s0 * s1 * s2, s3, comps))
-    table[lines_at] = np.moveaxis(lines, 0, 2)
+    np.fft.ifft(spec, axis=1, out=spec)
+    at, rows, fro = _fold_map(tuple(shape), degree, folds)
+    n2 = folds[1][0]
+    lines = spec.reshape(-1).view(np.float64)[:comps * rows.size * n2]
+    np.fft.irfft(spec[:, rows], n=n2, axis=2, out=lines.reshape(comps, rows.size, n2))
+    table = np.zeros((int(np.prod(shape)), comps))
+    table[at] = lines.reshape(comps, -1)[:, fro].T
     return table.reshape(tuple(shape) + lead)
 
 
@@ -339,12 +384,17 @@ class QuadruplePoly(_TablePoly):
         return tuple(RPoly4(self.table[..., m]) for m in range(4))
 
     def mul_naive(self, other: "QuadruplePoly") -> "QuadruplePoly":
+        """Schoolbook product of the components, combined by the basis sign
+        table.  Raises NonFiniteValue when a coefficient overflows."""
         prod = [[a.mul_naive(b) for b in other.comps] for a in self.comps]
-        return QuadruplePoly(_combine16(prod))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = QuadruplePoly(_combine16(prod))
+        _finite_product(out.table)
+        return out
 
     def mul_fast(self, other: "QuadruplePoly") -> "QuadruplePoly":
-        """FFT product: the component-first spectra of both tables, pruned
-        to their support simplices, are multiplied pointwise as
+        """FFT product: the component-first spectra of both tables, folded
+        onto two cyclic axes (`_pack`), are multiplied pointwise as
         quaternions and transformed back; entries beyond the degree
         simplex of the product are exactly 0.  A constant factor (a
         (1, 1, 1, 1) box) multiplies the other table directly, with no
@@ -358,11 +408,11 @@ class QuadruplePoly(_TablePoly):
                 table = qmul(self.table, other.table)
             else:
                 da, db = _support_degree(self.table), _support_degree(other.table)
-                pa, pb = _pack(self.table, shape, da), _pack(other.table, shape, db)
-                table = _unpack(qmul_into(pa, pb, pa), shape, da + db)
-        if not np.all(np.isfinite(table)):
-            raise NonFiniteValue("product coefficients overflow")
-        return QuadruplePoly(table)
+                folds = _folds(shape, da + db)
+                spec = _pack(self.table, da, folds)
+                qmul_into(spec, _pack(other.table, db, folds), spec)
+                table = _unpack(spec, shape, da + db, folds)
+        return QuadruplePoly(_finite_product(table))
 
     def __mul__(self, other):
         if isinstance(other, QuadruplePoly):
@@ -518,7 +568,9 @@ def _subst_table(tables: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> 
     for m in range(4):
         tables = np.moveaxis(
             np.tensordot(_shift_matrix(offset[m], size), tables, axes=(1, m)), 0, m)
-    perm, lower, upper = lu(matrix)
+    import scipy.linalg  # deferred: it costs every CLI start about 0.3 s
+
+    perm, lower, upper = scipy.linalg.lu(matrix)
     tables = np.transpose(tables, tuple(perm.argmax(axis=0)) + (4,))
     for j in range(3):
         for i in range(j + 1, 4):

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import complexpoly
 from .errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
@@ -399,6 +398,8 @@ def interpolate(xs, ys) -> OneSidedPoly:
     feas = interpolation_feasible(nodes)
     if not feas:
         raise InfeasiblePoints(feas.reason)
+    import scipy.linalg  # deferred: it costs every CLI start about 0.3 s
+
     lu, piv = scipy.linalg.lu_factor(_complex_rep(powers.transpose(1, 0, 2)).T)
     diag = np.abs(np.diag(lu))
     if np.min(diag) <= TOL_PIVOT * max(np.max(diag), 1e-300):

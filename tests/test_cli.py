@@ -1,5 +1,8 @@
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,11 +212,12 @@ def test_bench_affine_scaling(capsys):
 
 
 def test_bench_mul1_scaling(capsys):
-    # the FFT product works on the (2d+1)^4 product box, so doubling the
-    # degree may cost at most 2.5 times ((2 d2 + 1) / (2 d1 + 1))^4: 32 for
-    # 4 -> 8 and 35 for 8 -> 16; a schoolbook product would read about 96
-    # for 8 -> 16.  The factor is loose because FFT speed depends on how
-    # the box length factors: 9 = 3^2, 17 is prime, 33 = 3 * 11
+    # the FFT product works on two folded axes of about 3 (2d)^2 / 4
+    # points each, a fixed share of the (2d+1)^4 product box, so doubling
+    # the degree may cost at most 2.5 times ((2 d2 + 1) / (2 d1 + 1))^4: 32
+    # for 4 -> 8 and 35 for 8 -> 16; a schoolbook product would read about
+    # 96 for 8 -> 16.  The factor is loose because the share moves with
+    # the fold lengths 70, 225 and 875 and FFT speed with how they factor
     sizes = [4, 8, 16]
     code, out, _ = run_main(capsys, ["bench", "--op", "mul1", "--sizes",
                                      ",".join(map(str, sizes)), "--repeats", "5"])
@@ -224,7 +228,8 @@ def test_bench_mul1_scaling(capsys):
 
 
 def test_bench_expand_scaling(capsys):
-    # the top product of a degree-n expansion works on the (n+1)^4 box, so
+    # the top product of a degree-n expansion works on two folded axes of
+    # about 3 n^2 / 4 points each, a fixed share of the (n+1)^4 box, so
     # doubling n may cost at most 2.5 times ((n2 + 1) / (n1 + 1))^4: 26 for
     # 4 -> 8 and 32 for 8 -> 16
     sizes = [4, 8, 16]
@@ -268,6 +273,26 @@ def test_installed_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert parse_quaternion(proc.stdout.strip()) == parse_quaternion("1+2k")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_module_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatpoly.cli", "eval", "-e", "i·X-X·i+1", "-x", "j"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert parse_quaternion(proc.stdout.strip()) == parse_quaternion("1+2k")
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs every start about 0.3 s; only LU callers load it
+    code = "import sys, quatpoly.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_zerotest_epsilon_out_of_range(capsys):

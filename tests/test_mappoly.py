@@ -109,24 +109,54 @@ def test_mul_fast_unequal_and_prime_extents():
         assert mp.max_coeff_diff(p.mul_fast(q), naive) <= 1e-12 * mp.coeff_scale(naive)
 
 
+@pytest.mark.filterwarnings("error")
+def test_every_product_raises_on_overflow():
+    big = mp.QuadruplePoly.constant(Quaternion(1e200, 0, 1e200, 0))
+    p = big.mul_fast(mp.QuadruplePoly.variable())
+    r = mp.RPoly4(np.full((2, 2, 2, 2), 1e200))
+    for mul, a in [(mp.QuadruplePoly.mul_fast, p), (mp.QuadruplePoly.mul_naive, p),
+                   (mp.RPoly4.mul_fast, r), (mp.RPoly4.mul_naive, r)]:
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            mul(a, a)
+
+
+def fold_points(su, sv, degree):
+    return np.nonzero(np.add.outer(np.arange(su), np.arange(sv)) <= degree)
+
+
+@pytest.mark.parametrize("degree", range(41))
+def test_fold_is_injective_on_the_product_triangle(degree):
+    full = (degree + 1, degree + 1)
+    for su, sv in [full, (degree + 1, degree // 2 + 1), (degree // 3 + 1, degree + 1)]:
+        n, a = mp._fold(su, sv, degree)
+        u, v = fold_points(su, sv, degree)
+        assert np.unique((u + a * v) % n).size == u.size, (su, sv)
+        assert n <= su * sv
+        if degree >= su + sv - 2:
+            assert (n, a) == (su * sv, su)
+    if degree % 2 == 0:
+        # 3 D^2 / 4 + 3 D / 2 + 1 is the least N of any fold of the full
+        # triangle (every N from |P| up scanned for even D <= 30); it is
+        # attained at A = 3 D / 2 + 2
+        least = 3 * degree * degree // 4 + 3 * degree // 2 + 1
+        n, _ = mp._fold(*full, degree)
+        assert least <= n <= 1.2 * least
+        u, v = fold_points(*full, degree)
+        assert np.unique((u + (3 * degree // 2 + 2) * v) % least).size == u.size
+
+
 def degree_sums(shape):
     return np.indices(shape[:4]).sum(axis=0)
-
-
-def unpruned_product(p, q):
-    # the transform of the whole product box, as rfftn / irfftn do it
-    shape = tuple(a + b - 1 for a, b in zip(p.extents, q.extents))
-    spectra = [np.fft.rfftn(t.table, s=shape, axes=range(4)) for t in (p, q)]
-    return np.fft.irfftn(qmul(*spectra), s=shape, axes=range(4))
 
 
 def test_mul_fast_is_the_unpruned_product_on_the_simplex_and_zero_beyond():
     rng = np.random.default_rng(23)
     for da, db in [(10, 10), (3, 7), (5, 2), (1, 1)]:
         p, q = mp.random_quadruple(da, rng), mp.random_quadruple(db, rng)
-        got = p.mul_fast(q).table
+        got, naive = p.mul_fast(q).table, p.mul_naive(q).table
         on = degree_sums(got.shape) <= da + db
-        assert np.array_equal(got[on], unpruned_product(p, q)[on])
+        assert got.shape == naive.shape
+        assert np.max(np.abs(got[on] - naive[on])) <= 1e-13 * np.max(np.abs(naive))
         assert not np.any(got[~on])
 
 
@@ -154,9 +184,15 @@ def test_mul_fast_keeps_a_tiny_top_degree_entry():
     table[3, 0, 0, 0, 2] = 1e-300
     p = mp.QuadruplePoly(table)
     assert p.degree == 0 and mp._support_degree(table) == 3
-    shape = (7, 4, 4, 4)
-    assert np.array_equal(mp._pack(table, shape, 3),
-                          np.moveaxis(np.fft.rfftn(table, s=shape, axes=range(4)), -1, 0))
+    # the folded spectrum of component j is that of 1e-300 at the fold of
+    # (3, 0, 0, 0), which survives the constant's other components
+    folds = mp._folds((7, 4, 4, 4), 6)
+    (n1, _), (n2, _) = folds
+    grid = np.zeros((n1, n2))
+    grid[3 % n1, 0] = 1e-300
+    spec = mp._pack(table, 3, folds)
+    assert np.array_equal(spec[2], np.fft.rfft2(grid))
+    assert np.max(np.abs(spec[2])) == 1e-300
     q = mp.random_quadruple(3, np.random.default_rng(25))
     got, naive = p.mul_fast(q), p.mul_naive(q)
     assert mp._support_degree(got.table) == 6
