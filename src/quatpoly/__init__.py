@@ -3,8 +3,9 @@
 Three notions of a quaternion polynomial, each with its own module:
 
 * `mappoly`  - the ring of polynomial mappings, stored as quadruples of
-  four-variate real polynomials (fast multiplication by four-dimensional
-  real FFTs, grid multi-evaluation, randomized zero witnesses);
+  four-variate real polynomials (fast multiplication by two-dimensional
+  real FFTs on folded exponent axes, grid multi-evaluation, randomized
+  zero witnesses);
 * `seqpoly`  - coefficient sequences under non-commutative convolution
   (fast convolution by real FFTs and a quaternion product of spectra);
 * `onesided` - one- and two-sided coefficient polynomials as mappings

@@ -274,14 +274,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, NonFiniteValue) as err:
+    except (ParseError, NonFiniteValue, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:
         print(f"error: cannot read {err.filename}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 2
     except (QuatPolyError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -186,9 +186,8 @@ def parse_expression(text: str) -> Expr:
                 had_brackets=any(t[0] == "(" for t in tokens))
 
 
-def to_text(e: Expr | object) -> str:
+def to_text(e: Expr) -> str:
     """Serialize a tree; parentheses appear only where precedence needs them."""
-    node = e.root if isinstance(e, Expr) else e
 
     def render(n, in_product):
         if isinstance(n, Const):
@@ -204,17 +203,17 @@ def to_text(e: Expr | object) -> str:
         body = render(n.left, False) + op + render(n.right, False)
         return f"({body})" if in_product else body
 
-    return render(node, False)
+    return render(e.root, False)
 
 
-def node_count(e: Expr | object) -> int:
-    node = e.root if isinstance(e, Expr) else e
+def node_count(node) -> int:
+    """Nodes of the tree under `node`, leaves included."""
     if isinstance(node, (Const, Var)):
         return 1
     return 1 + node_count(node.left) + node_count(node.right)
 
 
-def eval_at(e: Expr | object, x: Quaternion) -> Quaternion:
+def eval_at(e: Expr, x: Quaternion) -> Quaternion:
     """Bottom-up evaluation; cost is one product or sum per tree node.
 
     Raises NonFiniteValue as `eval_with_bound` does.
@@ -222,7 +221,7 @@ def eval_at(e: Expr | object, x: Quaternion) -> Quaternion:
     return eval_with_bound(e, x)[0]
 
 
-def eval_with_bound(e: Expr | object, x: Quaternion):
+def eval_with_bound(e: Expr, x: Quaternion):
     """Value plus the sum of the magnitudes of every partial result.
 
     The magnitude sum tracks how large the intermediates were, which is
@@ -231,7 +230,7 @@ def eval_with_bound(e: Expr | object, x: Quaternion):
     is finite and their magnitudes sum within the double range; otherwise
     NonFiniteValue is raised.
     """
-    value, bound = _eval_bound(e.root if isinstance(e, Expr) else e, x)
+    value, bound = _eval_bound(e.root, x)
     if not math.isfinite(bound):
         raise NonFiniteValue(f"evaluation at {x} overflows")
     return value, bound
@@ -273,17 +272,12 @@ def expand(e: Expr) -> QuadruplePoly:
     no larger than what follows it.  Raises NonFiniteValue when a
     coefficient of a product or of the sum overflows.
     """
-    if isinstance(e, Expr):
-        if e.had_brackets:
-            raise BracketsNotAllowed(
-                "expansion takes bracket-free expressions; "
-                "the zero test accepts brackets")
-        root = e.root
-    else:
-        root = e
-
+    if e.had_brackets:
+        raise BracketsNotAllowed(
+            "expansion takes bracket-free expressions; "
+            "the zero test accepts brackets")
     terms = []
-    _split_terms(root, +1, terms)
+    _split_terms(e.root, +1, terms)
     expanded = []
     for sign, node in terms:
         factors = []
@@ -339,7 +333,7 @@ def zero_test(e: Expr, epsilon: float, rng) -> str:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     rounds = max(1, math.ceil(math.log2(1.0 / epsilon)))
-    n = max(e.n_tokens, 1) if isinstance(e, Expr) else max(node_count(e), 1)
+    n = max(e.n_tokens, 1)
     pool = np.arange(2 * n, dtype=float)
     for _ in range(rounds):
         picks = pool[rng.integers(0, pool.size, size=4)]

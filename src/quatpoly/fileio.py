@@ -38,5 +38,6 @@ def read_reals_file(path: str) -> list[float]:
     return values
 
 
-def format_quaternion_lines(qs, digits: int = 17) -> str:
-    return "".join(format_quaternion(q, digits=digits) + "\n" for q in qs)
+def format_quaternion_lines(qs) -> str:
+    """One literal per line, at 17 digits: the text reads back exactly."""
+    return "".join(format_quaternion(q, digits=17) + "\n" for q in qs)

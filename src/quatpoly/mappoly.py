@@ -189,15 +189,12 @@ def _trimmed_degree(table):
     DEGREE_TRIM_REL times the largest entry of the table, trailing axes
     included; -inf when the table is zero.  A table with an infinite or
     NaN entry has no degree: NonFiniteValue."""
-    mag = np.abs(table)
-    peak = float(np.max(mag))
+    peak = float(np.max(np.abs(table)))
     if not np.isfinite(peak):
         raise NonFiniteValue("non-finite coefficients have no degree")
     if peak == 0.0:
         return NEG_INF
-    mask = np.any(mag > DEGREE_TRIM_REL * peak, axis=tuple(range(4, table.ndim)))
-    degrees = _exponent_sums(mask.shape)[mask]
-    return int(np.max(degrees)) if degrees.size else NEG_INF
+    return _support_degree(table, DEGREE_TRIM_REL * peak)
 
 
 def _scatter_mul(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -215,14 +212,16 @@ def _scatter_mul(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support_degree(table: np.ndarray) -> int:
-    """Largest e0 + e1 + e2 + e3 with a nonzero entry, trailing axes
-    included; -1 for a zero table.  Nothing is trimmed: this bounds the
-    support exactly, so a transform pruned to it loses no entry."""
-    nonzero = table != 0.0
+def _support_degree(table: np.ndarray, floor: float = 0.0) -> int:
+    """Largest e0 + e1 + e2 + e3 with an entry above `floor` in magnitude,
+    trailing axes included; -1 when there is none.  A NaN entry counts.
+    At the default floor nothing is trimmed: this bounds the support
+    exactly, so a transform pruned to it loses no entry."""
+    # written as "not at most" so that NaN counts
+    live = ~(np.abs(table) <= floor)
     if table.ndim > 4:
-        nonzero = np.any(nonzero, axis=tuple(range(4, table.ndim)))
-    degrees = _exponent_sums(nonzero.shape)[nonzero]
+        live = np.any(live, axis=tuple(range(4, table.ndim)))
+    degrees = _exponent_sums(live.shape)[live]
     return int(degrees.max()) if degrees.size else -1
 
 
@@ -460,18 +459,18 @@ class QuadruplePoly(_TablePoly):
     def affine_substitute(self, matrix, offset) -> "QuadruplePoly":
         """Composition with the affine coordinate map x -> matrix.x + offset.
 
-        Every matrix is accepted, singular ones included; a non-finite
+        The table is cut to its exact support degree (`_support_degree`),
+        so coefficients below the degree trim are substituted too.  Every
+        matrix is accepted, singular ones included; a non-finite
         matrix or offset, or substituted coefficients that overflow, raise
         NonFiniteValue.
         """
         t = _finite("affine matrix", matrix).astype(float).reshape(4, 4)
         y = _finite("affine offset", offset).astype(float).reshape(4)
-        deg = self.degree
-        if deg == NEG_INF:
+        size = _support_degree(self.table) + 1
+        if size == 0:
             return QuadruplePoly.zero()
-        size = int(deg) + 1
         table = self.padded(np.maximum(self.extents, size))[(slice(size),) * 4]
-        table[_exponent_sums(table.shape[:4]) >= size] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             table = _subst_table(table, t, y)
         if not np.all(np.isfinite(table)):
@@ -612,14 +611,14 @@ def _shear(tables: np.ndarray, i: int, j: int, c: float) -> np.ndarray:
     return out
 
 
-def random_quadruple(degree: int, rng, scale: float = 1.0) -> QuadruplePoly:
-    """Random mapping with dense simplex coefficients uniform in [-scale, scale].
+def random_quadruple(degree: int, rng) -> QuadruplePoly:
+    """Random mapping with dense simplex coefficients uniform in [-1, 1].
 
     The components are drawn one whole table after the other.
     """
     if degree < 0:
         return QuadruplePoly.zero()
-    t = rng.uniform(-scale, scale, size=(4,) + (degree + 1,) * 4)
+    t = rng.uniform(-1.0, 1.0, size=(4,) + (degree + 1,) * 4)
     on = _exponent_sums((degree + 1,) * 4) <= degree
     return QuadruplePoly(np.where(on[..., None], np.moveaxis(t, 0, -1), 0.0))
 

@@ -251,12 +251,12 @@ class Feasibility:
         return self.feasible
 
 
-def interpolation_feasible(xs, tol: float = TOL_EQ) -> Feasibility:
+def interpolation_feasible(xs) -> Feasibility:
     """Pairwise distinct and no three points mutually conjugate-equivalent.
 
     `xs` is an iterable of Quaternion or an (n, 4) component array.  Two
     points are equivalent when their conjugation invariants, the real part
-    and the imaginary norm, agree within `tol`.  Coinciding points are
+    and the imaginary norm, agree within `TOL_EQ`.  Coinciding points are
     equivalent, so only equivalent pairs are measured; and a chain of
     equivalences holds three points exactly when one point has two
     equivalent partners.
@@ -265,11 +265,11 @@ def interpolation_feasible(xs, tol: float = TOL_EQ) -> Feasibility:
     with np.errstate(over="ignore", invalid="ignore"):
         re = pts[:, 0]
         im = np.hypot(np.hypot(pts[:, 1], pts[:, 2]), pts[:, 3])  # no overflow
-        equiv = ((np.abs(re[:, None] - re) <= tol)
-                 & (np.abs(im[:, None] - im) <= tol))
+        equiv = ((np.abs(re[:, None] - re) <= TOL_EQ)
+                 & (np.abs(im[:, None] - im) <= TOL_EQ))
         np.fill_diagonal(equiv, False)
         first, second = np.nonzero(np.triu(equiv))
-        close = np.flatnonzero(np.linalg.norm(pts[first] - pts[second], axis=1) <= tol)
+        close = np.flatnonzero(np.linalg.norm(pts[first] - pts[second], axis=1) <= TOL_EQ)
     if close.size:
         a, b = first[close[0]], second[close[0]]
         return Feasibility(False, f"points {a} and {b} coincide")
@@ -482,10 +482,10 @@ def nbody_naive(poles, xs) -> list:
 
 # -- random generators -----------------------------------------------------------
 
-def random_one_sided(n: int, rng, scale: float = 1.0) -> OneSidedPoly:
-    return OneSidedPoly.from_components(rng.uniform(-scale, scale, size=(n, 4)))
+def random_one_sided(n: int, rng) -> OneSidedPoly:
+    return OneSidedPoly.from_components(rng.uniform(-1.0, 1.0, size=(n, 4)))
 
 
-def random_two_sided(n: int, rng, scale: float = 1.0) -> TwoSidedPoly:
-    return TwoSidedPoly(left=rng.uniform(-scale, scale, size=(n, 4)),
-                        right=rng.uniform(-scale, scale, size=(n, 4)))
+def random_two_sided(n: int, rng) -> TwoSidedPoly:
+    return TwoSidedPoly(left=rng.uniform(-1.0, 1.0, size=(n, 4)),
+                        right=rng.uniform(-1.0, 1.0, size=(n, 4)))

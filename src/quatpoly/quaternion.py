@@ -156,7 +156,6 @@ def _coerce(value):
     return None
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
@@ -166,14 +165,14 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 BASIS = (ONE, I, J, K)
 
 
-def auto_equivalent(a: Quaternion, b: Quaternion, tol: float = TOL_EQ) -> bool:
+def auto_equivalent(a: Quaternion, b: Quaternion) -> bool:
     """Whether a and b are conjugate under some u . x . u^-1.
 
     Equivalent to: equal real parts and equal imaginary-part norms, both
-    checked within absolute tolerance `tol`.
+    checked within absolute tolerance `TOL_EQ`.
     """
-    return (abs(a.re - b.re) <= tol
-            and abs(a.imag_norm() - b.imag_norm()) <= tol)
+    return (abs(a.re - b.re) <= TOL_EQ
+            and abs(a.imag_norm() - b.imag_norm()) <= TOL_EQ)
 
 
 def apply_automorphism(u: Quaternion, x: Quaternion) -> Quaternion:

@@ -9,8 +9,9 @@ The fast product transforms the four real component sequences of each
 operand with real FFTs, multiplies the spectra pointwise as quaternions
 with complex components, and transforms back; the naive double loop
 stays as the oracle.  Spectra are held component-first, one row per
-component, so the transforms run along contiguous rows and the Hamilton
-product writes into a preallocated block (`qarray.qmul_into`).
+component, so the transforms run along contiguous rows, and the Hamilton
+product overwrites the first spectrum in its preallocated block
+(`qarray.qmul_into`).
 """
 
 from __future__ import annotations
@@ -96,23 +97,23 @@ def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
     the Hamilton product of the spectra, one inverse transform.
 
     The components are transformed component-first, as rows of one
-    ``(3, 4, size // 2 + 1)`` work block that holds both spectra and their
-    product.  Matches `convolve_naive` up to rounding; raises
-    NonFiniteValue when a coefficient overflows.
+    ``(2, 4, size // 2 + 1)`` work block that holds both spectra; their
+    product overwrites the first.  Matches `convolve_naive` up to
+    rounding; raises NonFiniteValue when a coefficient overflows.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return QSeq()
     out_len = n + m - 1
     size = complexpoly._next_pow2(out_len)
-    # one block for both spectra and their product: freed separately, large
-    # temporaries go back to the OS and fault in again on every call
-    work = np.empty((3, 4, size // 2 + 1), dtype=np.complex128)
+    # one block for both spectra: freed separately, large temporaries go
+    # back to the OS and fault in again on every call
+    work = np.empty((2, 4, size // 2 + 1), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         np.fft.rfft(a.comps.T, n=size, axis=-1, out=work[0])
         np.fft.rfft(b.comps.T, n=size, axis=-1, out=work[1])
-        qmul_into(work[0], work[1], work[2])
-        out = np.fft.irfft(work[2], n=size, axis=-1)[:, :out_len].T
+        qmul_into(work[0], work[1], work[0])
+        out = np.fft.irfft(work[0], n=size, axis=-1)[:, :out_len].T
     return _finite_product(out)
 
 
@@ -122,6 +123,6 @@ def _finite_product(comps) -> QSeq:
     return QSeq.from_components(comps)
 
 
-def random_qseq(n: int, rng, scale: float = 1.0) -> QSeq:
-    """Sequence of n quaternions with components uniform in [-scale, scale]."""
-    return QSeq.from_components(rng.uniform(-scale, scale, size=(n, 4)))
+def random_qseq(n: int, rng) -> QSeq:
+    """Sequence of n quaternions with components uniform in [-1, 1]."""
+    return QSeq.from_components(rng.uniform(-1.0, 1.0, size=(n, 4)))

@@ -130,9 +130,9 @@ def test_serialization_round_trip():
 
 
 def test_node_count():
-    assert ex.node_count(ex.parse_expression("X")) == 1
-    assert ex.node_count(ex.parse_expression("X·i·X")) == 5
-    assert ex.node_count(ex.parse_expression("X+2·j")) == 5
+    assert ex.node_count(ex.parse_expression("X").root) == 1
+    assert ex.node_count(ex.parse_expression("X·i·X").root) == 5
+    assert ex.node_count(ex.parse_expression("X+2·j").root) == 5
 
 
 def test_ordered_product():
@@ -249,4 +249,4 @@ def test_eval_visits_each_node_once(monkeypatch):
     monkeypatch.setattr(ex, "_eval_bound", counting)
     e = ex.parse_expression("X·i·X+2-j·X")
     ex.eval_at(e, J)
-    assert calls["n"] == ex.node_count(e)
+    assert calls["n"] == ex.node_count(e.root)

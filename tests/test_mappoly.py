@@ -201,6 +201,22 @@ def test_mul_fast_keeps_a_tiny_top_degree_entry():
     assert np.max(np.abs(tiny.mul_fast(q).table - tiny.mul_naive(q).table)) <= 1e-312
 
 
+@pytest.mark.filterwarnings("error")
+def test_nan_coefficient_counts_for_the_support():
+    # NaN at X0^2 compares false against any floor; a scan that skipped it
+    # would prune its fibre from the transform and return a finite product
+    table = np.zeros((3, 1, 1, 1, 4))
+    table[0, 0, 0, 0, 0] = 1.0
+    table[2, 0, 0, 0, 1] = np.nan
+    assert mp._support_degree(table) == 2
+    with pytest.raises(NonFiniteValue):
+        mp.QuadruplePoly(table).mul_fast(mp.QuadruplePoly.variable())
+    real = np.zeros((3, 1, 1, 1))
+    real[0, 0, 0, 0], real[2, 0, 0, 0] = 1.0, np.nan
+    with pytest.raises(NonFiniteValue):
+        mp.RPoly4(real).mul_fast(mp.RPoly4.axis_variable(0))
+
+
 def test_mul_fast_constant_factor_is_the_broadcast_product():
     rng = np.random.default_rng(26)
     p = mp.random_quadruple(4, rng)
@@ -575,6 +591,22 @@ def test_affine_substitute_high_degree():
         got = sub.evaluate(Quaternion(*z))
         want = p.evaluate(Quaternion(*(t @ z + off)))
         assert (got - want).norm() <= 1e-7 * max(1.0, want.norm())
+
+
+def test_affine_keeps_entries_below_the_degree_trim():
+    # 1e-10 X0^3 lies below the degree trim of 1, but at X0 = 1e3 it adds 0.1
+    table = np.zeros((4, 1, 1, 1, 4))
+    table[0, 0, 0, 0, 0] = 1.0
+    table[3, 0, 0, 0, 0] = 1e-10
+    p = mp.QuadruplePoly(table)
+    assert p.degree == 0
+    off = (1e3, 0.0, 0.0, 0.0)
+    shifted = p.affine_substitute(np.eye(4), off)
+    assert mp._support_degree(shifted.table) == 3
+    assert abs(shifted.evaluate(Quaternion(0)).re - 1.1) <= 1e-12
+    grid = p.affine_grid_multieval(np.eye(4), off, [[0.0]] * 4)
+    assert abs(grid[0, 0, 0, 0, 0] - 1.1) <= 1e-12
+    assert not np.any(grid[0, 0, 0, 0, 1:])
 
 
 @pytest.mark.filterwarnings("error")
