@@ -16,8 +16,8 @@ representation: split at the top-level signs, expand each product term by
 balanced ordered multiplication, then accumulate the terms in order of
 ascending degree.  The zero test never expands anything; it evaluates the
 tree at uniformly random small-integer points, where a nonzero mapping of
-degree at most the token count evaluates to nonzero with probability
-above one half per round.
+degree at most the tree's node count evaluates to nonzero with
+probability above one half per round.
 """
 
 from __future__ import annotations
@@ -74,17 +74,14 @@ class Mul:
 class Expr:
     """Parsed expression: the tree plus source metadata.
 
-    `n_tokens` is the lexer token count (one per constant, variable,
-    operator, or bracket); it bounds the degree of the denoted mapping and
-    sizes the zero-test sample pool.  `had_brackets` records whether the
-    source used parentheses, which expansion refuses.
+    `had_brackets` records whether the source used parentheses, which
+    expansion refuses.
     """
 
-    __slots__ = ("root", "n_tokens", "had_brackets")
+    __slots__ = ("root", "had_brackets")
 
-    def __init__(self, root, n_tokens: int = 0, had_brackets: bool = False):
+    def __init__(self, root, had_brackets: bool = False):
         self.root = root
-        self.n_tokens = n_tokens
         self.had_brackets = had_brackets
 
     def __repr__(self):
@@ -182,8 +179,7 @@ def parse_expression(text: str) -> Expr:
     kind, _, pos = peek()
     if kind is not None:
         raise ParseError(f"unexpected {kind!r}", pos)
-    return Expr(root, n_tokens=len(tokens),
-                had_brackets=any(t[0] == "(" for t in tokens))
+    return Expr(root, had_brackets=any(t[0] == "(" for t in tokens))
 
 
 def to_text(e: Expr) -> str:
@@ -207,7 +203,8 @@ def to_text(e: Expr) -> str:
 
 
 def node_count(node) -> int:
-    """Nodes of the tree under `node`, leaves included."""
+    """Nodes of the tree under `node`, leaves included.  It bounds the
+    number of X leaves, and so the degree of the denoted mapping."""
     if isinstance(node, (Const, Var)):
         return 1
     return 1 + node_count(node.left) + node_count(node.right)
@@ -288,11 +285,8 @@ def expand(e: Expr) -> QuadruplePoly:
         expanded.append((quad.degree, len(factors), sign, quad))
     expanded.sort(key=lambda t: (t[0], t[1]))
     acc = QuadruplePoly.zero()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, _, sign, quad in expanded:
-            acc = acc + quad if sign > 0 else acc - quad
-    if not np.all(np.isfinite(acc.table)):
-        raise NonFiniteValue("expanded coefficients overflow")
+    for _, _, sign, quad in expanded:
+        acc = acc + quad if sign > 0 else acc - quad
     return acc
 
 
@@ -323,8 +317,9 @@ def zero_test(e: Expr, epsilon: float, rng) -> str:
     """One-sided randomized test whether e denotes the zero mapping.
 
     Runs ceil(log2(1/epsilon)) rounds; each substitutes X by a quaternion
-    with components drawn uniformly from {0, ..., 2N-1} (N the token
-    count) and checks the value against the magnitude-tracked threshold.
+    with components drawn uniformly from {0, ..., 2N-1} (N the node count
+    of the tree, `node_count`) and checks the value against the
+    magnitude-tracked threshold.
     Verdict "non-zero" is always right; "zero" is wrong with probability
     at most epsilon when e is in fact nonzero.  Raises NonFiniteValue when
     an evaluation overflows, since an infinite value has no scale to be
@@ -333,7 +328,7 @@ def zero_test(e: Expr, epsilon: float, rng) -> str:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     rounds = max(1, math.ceil(math.log2(1.0 / epsilon)))
-    n = max(e.n_tokens, 1)
+    n = node_count(e.root)
     pool = np.arange(2 * n, dtype=float)
     for _ in range(rounds):
         picks = pool[rng.integers(0, pool.size, size=4)]

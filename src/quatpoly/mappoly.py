@@ -36,6 +36,11 @@ its components, which matches half the total degree of the component sum
 of squares because squares of reals cannot cancel.  Coefficients count
 for degrees once they exceed DEGREE_TRIM_REL times the largest one of the
 whole quadruple.
+
+Every table is finite: `RPoly4` and `QuadruplePoly` check their
+coefficients when they are built (`qarray.finite`), so an infinite or NaN
+input, and a sum, product or substitution whose coefficients overflow,
+raise NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 
 from . import complexpoly
 from .errors import EmptySampleSet, NonFiniteValue, ParseError, SingularTransform
-from .qarray import qmul, qmul_into
+from .qarray import finite, qmul, qmul_into
 from .quaternion import Quaternion
 
 #: entries below this fraction of the largest one do not count for degrees
@@ -89,8 +94,7 @@ class _TablePoly:
 
     @property
     def degree(self):
-        """Total degree; -inf for zero, an integer otherwise, and
-        NonFiniteValue for a table with an infinite or NaN entry.
+        """Total degree; -inf for zero, an integer otherwise.
 
         Entries are trimmed against the largest coefficient of the whole
         table, so a component holding only rounding residue of a
@@ -107,23 +111,27 @@ class _TablePoly:
         out[tuple(map(slice, self.extents))] = self.table
         return out
 
+    # sums and scalings that overflow raise NonFiniteValue in the constructor
+
     def __add__(self, other):
         shape = tuple(map(max, zip(self.extents, other.extents)))
-        return type(self)(self.padded(shape) + other.padded(shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return type(self)(self.padded(shape) + other.padded(shape))
 
     def __sub__(self, other):
         shape = tuple(map(max, zip(self.extents, other.extents)))
-        return type(self)(self.padded(shape) - other.padded(shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return type(self)(self.padded(shape) - other.padded(shape))
 
     def __neg__(self):
         return type(self)(-self.table)
 
     def scale(self, s: float):
-        return type(self)(self.table * s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return type(self)(self.table * s)
 
     def __repr__(self):
-        degree = self.degree if np.all(np.isfinite(self.table)) else "non-finite"
-        return f"{type(self).__name__}(extents={self.extents}, degree={degree})"
+        return f"{type(self).__name__}(extents={self.extents}, degree={self.degree})"
 
 
 class RPoly4(_TablePoly):
@@ -131,7 +139,9 @@ class RPoly4(_TablePoly):
 
     ``table[e0, e1, e2, e3]`` is the coefficient of X0^e0 X1^e1 X2^e2 X3^e3;
     the stored box is the per-axis bound, entries beyond the total-degree
-    simplex are simply zero.
+    simplex are simply zero.  Infinite or NaN coefficients raise
+    NonFiniteValue.  Its one product is the schoolbook `mul_naive`, the
+    oracle of the component products.
     """
 
     __slots__ = ()
@@ -140,7 +150,7 @@ class RPoly4(_TablePoly):
         t = np.asarray(table, dtype=float)
         if t.ndim != 4:
             raise ValueError("RPoly4 needs a 4-dimensional coefficient table")
-        self.table = t
+        self.table = finite(t)
 
     @classmethod
     def zero(cls) -> "RPoly4":
@@ -162,36 +172,14 @@ class RPoly4(_TablePoly):
         """Schoolbook product: scatter every coefficient pair.  Raises
         NonFiniteValue when a coefficient overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return RPoly4(_finite_product(_scatter_mul(self.table, other.table)))
-
-    def mul_fast(self, other: "RPoly4") -> "RPoly4":
-        """Product by a two-dimensional real FFT on the folded product
-        simplex (`_pack`).  Raises NonFiniteValue when a coefficient
-        overflows."""
-        shape = tuple(a + b - 1 for a, b in zip(self.extents, other.extents))
-        da, db = _support_degree(self.table), _support_degree(other.table)
-        if min(da, db) < 0:
-            return RPoly4(np.zeros(shape))
-        folds = _folds(shape, da + db)
-        with np.errstate(over="ignore", invalid="ignore"):
-            spec = _pack(self.table, da, folds) * _pack(other.table, db, folds)
-            return RPoly4(_finite_product(_unpack(spec, shape, da + db, folds)))
-
-
-def _finite_product(table: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(table)):
-        raise NonFiniteValue("product coefficients overflow")
-    return table
+            return RPoly4(_scatter_mul(self.table, other.table))
 
 
 def _trimmed_degree(table):
     """Largest total degree of an exponent tuple with an entry above
     DEGREE_TRIM_REL times the largest entry of the table, trailing axes
-    included; -inf when the table is zero.  A table with an infinite or
-    NaN entry has no degree: NonFiniteValue."""
+    included; -inf when the table is zero."""
     peak = float(np.max(np.abs(table)))
-    if not np.isfinite(peak):
-        raise NonFiniteValue("non-finite coefficients have no degree")
     if peak == 0.0:
         return NEG_INF
     return _support_degree(table, DEGREE_TRIM_REL * peak)
@@ -277,9 +265,9 @@ def _fold_map(box, degree: int, folds):
 
 
 def _pack(table: np.ndarray, degree: int, folds) -> np.ndarray:
-    """Real spectrum of `table` folded onto the cyclic grid Z_N1 x Z_N2 of
-    `folds` (`_folds`), component-first: trailing axes of the table lead,
-    so a QuadruplePoly table gives (4, N1, N2 // 2 + 1).
+    """Real spectrum of an (e0, e1, e2, e3, 4) `table` folded onto the
+    cyclic grid Z_N1 x Z_N2 of `folds` (`_folds`), component-first:
+    shape (4, N1, N2 // 2 + 1).
 
     `degree` is the exact support degree (`_support_degree`); the entries
     up to it go to (phi1(e0, e1), phi2(e2, e3)), the rfft runs only on the
@@ -289,40 +277,33 @@ def _pack(table: np.ndarray, degree: int, folds) -> np.ndarray:
     the cyclic product of two spectra is the folded linear product.
     """
     (n1, _), (n2, _) = folds
-    lead = table.shape[4:]
-    flat = table.reshape(int(np.prod(table.shape[:4])), -1)
-    comps = flat.shape[1]
     at, rows, to = _fold_map(table.shape[:4], degree, folds)
-    grid = np.zeros((comps, rows.size * n2))
-    grid[:, to] = flat[at].T
-    spec = np.zeros((comps, n1, n2 // 2 + 1), dtype=np.complex128)
-    spec[:, rows] = np.fft.rfft(grid.reshape(comps, rows.size, n2), axis=2)
+    grid = np.zeros((4, rows.size * n2))
+    grid[:, to] = table.reshape(-1, 4)[at].T
+    spec = np.zeros((4, n1, n2 // 2 + 1), dtype=np.complex128)
+    spec[:, rows] = np.fft.rfft(grid.reshape(4, rows.size, n2), axis=2)
     np.fft.fft(spec, axis=1, out=spec)
-    return spec.reshape(lead + spec.shape[1:])
+    return spec
 
 
 def _unpack(spectrum: np.ndarray, shape, degree: int, folds) -> np.ndarray:
-    """Coefficient table of `shape` back from a `_pack` spectrum of a
-    product whose support degree is at most `degree`; the spectrum's
-    leading axes become the table's trailing ones.  The spectrum is
-    overwritten.
+    """The (e0, e1, e2, e3, 4) table of the exponent box `shape` back
+    from a (4, N1, N2 // 2 + 1) `_pack` spectrum of a product whose
+    support degree is at most `degree`.  The spectrum is overwritten.
 
     The ifft along the first fold runs in place, the irfft only on the
     rows that hold entries of the product's degree simplex, into the
     spectrum's own memory, and those entries are gathered; every entry
     beyond it is exactly 0.
     """
-    lead = spectrum.shape[:-2]
-    spec = spectrum.reshape((-1,) + spectrum.shape[-2:])
-    comps = spec.shape[0]
-    np.fft.ifft(spec, axis=1, out=spec)
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
     at, rows, fro = _fold_map(tuple(shape), degree, folds)
     n2 = folds[1][0]
-    lines = spec.reshape(-1).view(np.float64)[:comps * rows.size * n2]
-    np.fft.irfft(spec[:, rows], n=n2, axis=2, out=lines.reshape(comps, rows.size, n2))
-    table = np.zeros((int(np.prod(shape)), comps))
-    table[at] = lines.reshape(comps, -1)[:, fro].T
-    return table.reshape(tuple(shape) + lead)
+    lines = spectrum.reshape(-1).view(np.float64)[:4 * rows.size * n2]
+    np.fft.irfft(spectrum[:, rows], n=n2, axis=2, out=lines.reshape(4, rows.size, n2))
+    table = np.zeros((int(np.prod(shape)), 4))
+    table[at] = lines.reshape(4, -1)[:, fro].T
+    return table.reshape(tuple(shape) + (4,))
 
 
 def _power_vectors(extents, coords):
@@ -345,7 +326,8 @@ class QuadruplePoly(_TablePoly):
 
     Built from an (e0, e1, e2, e3, 4) ndarray, which is taken as the table
     without a copy, or from four `RPoly4` components, which are zero-padded
-    to their common box.
+    to their common box.  Infinite or NaN coefficients raise
+    NonFiniteValue.
     """
 
     __slots__ = ()
@@ -361,7 +343,7 @@ class QuadruplePoly(_TablePoly):
                 raise ValueError("QuadruplePoly needs four RPoly4 components")
             shape = tuple(map(max, zip(*(c.extents for c in comps))))
             t = np.stack([c.padded(shape) for c in comps], axis=-1)
-        self.table = t
+        self.table = finite(t)
 
     @classmethod
     def zero(cls) -> "QuadruplePoly":
@@ -386,10 +368,7 @@ class QuadruplePoly(_TablePoly):
         """Schoolbook product of the components, combined by the basis sign
         table.  Raises NonFiniteValue when a coefficient overflows."""
         prod = [[a.mul_naive(b) for b in other.comps] for a in self.comps]
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = QuadruplePoly(_combine16(prod))
-        _finite_product(out.table)
-        return out
+        return QuadruplePoly(_combine16(prod))
 
     def mul_fast(self, other: "QuadruplePoly") -> "QuadruplePoly":
         """FFT product: the component-first spectra of both tables, folded
@@ -411,7 +390,7 @@ class QuadruplePoly(_TablePoly):
                 spec = _pack(self.table, da, folds)
                 qmul_into(spec, _pack(other.table, db, folds), spec)
                 table = _unpack(spec, shape, da + db, folds)
-        return QuadruplePoly(_finite_product(table))
+        return QuadruplePoly(table)
 
     def __mul__(self, other):
         if isinstance(other, QuadruplePoly):
@@ -472,11 +451,7 @@ class QuadruplePoly(_TablePoly):
             return QuadruplePoly.zero()
         table = self.padded(np.maximum(self.extents, size))[(slice(size),) * 4]
         with np.errstate(over="ignore", invalid="ignore"):
-            table = _subst_table(table, t, y)
-        if not np.all(np.isfinite(table)):
-            raise NonFiniteValue("coefficients substituted by the affine matrix "
-                                 "and offset overflow")
-        return QuadruplePoly(table)
+            return QuadruplePoly(_subst_table(table, t, y))
 
     def affine_grid_multieval(self, matrix, offset, axes):
         """Values on the image of a grid under a regular affine map.

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import complexpoly
 from .errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
-from .qarray import from_quaternions, qmul, to_quaternions
+from .qarray import finite, from_quaternions, qmul, to_quaternions
 from .quaternion import TOL_EQ, Quaternion, rotation_to_complex
 
 #: |det| below 1e-9 x (Hadamard row bound) counts as a vanishing determinant
@@ -46,15 +46,16 @@ TOL_RESIDUAL = 1e-8
 
 
 class OneSidedPoly:
-    """sum a_l X^l with left coefficients; degree -1 for the zero polynomial."""
+    """sum a_l X^l with left coefficients; degree -1 for the zero polynomial.
+    Infinite or NaN coefficients raise NonFiniteValue."""
 
     __slots__ = ("comps",)
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2 and coeffs.shape[1] == 4:
-            self.comps = np.array(coeffs, dtype=float)
+            self.comps = finite(np.array(coeffs, dtype=float))
         else:
-            self.comps = from_quaternions(coeffs)
+            self.comps = finite(from_quaternions(coeffs))
 
     @classmethod
     def from_components(cls, arr) -> "OneSidedPoly":
@@ -86,18 +87,19 @@ class OneSidedPoly:
 
 
 class TwoSidedPoly:
-    """sum a_l X^l b_l; entry l of each side belongs to power l."""
+    """sum a_l X^l b_l; entry l of each side belongs to power l.  Infinite
+    or NaN coefficients raise NonFiniteValue."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, pairs=(), *, left=None, right=None):
         if left is not None or right is not None:
-            self.left = np.array(left, dtype=float).reshape(-1, 4)
-            self.right = np.array(right, dtype=float).reshape(-1, 4)
+            self.left = finite(np.array(left, dtype=float).reshape(-1, 4))
+            self.right = finite(np.array(right, dtype=float).reshape(-1, 4))
         else:
             pairs = list(pairs)
-            self.left = from_quaternions(q for q, _ in pairs)
-            self.right = from_quaternions(q for _, q in pairs)
+            self.left = finite(from_quaternions(q for q, _ in pairs))
+            self.right = finite(from_quaternions(q for _, q in pairs))
         if self.left.shape != self.right.shape:
             raise ValueError("left/right coefficient counts differ")
 
@@ -221,11 +223,12 @@ def multieval_naive(p, xs) -> list:
     """Evaluation oracle: the literal sums of a_l x^l b_l at every point.
 
     Powers are summed directly, independently of the rotation path, and
-    vectorized over the points only.
+    vectorized over the points only.  Raises NonFiniteValue for a point
+    that is not finite.
     """
     if isinstance(p, OneSidedPoly):
         p = TwoSidedPoly.from_one_sided(p)
-    return to_quaternions(_power_sums(p, from_quaternions(xs)))
+    return to_quaternions(_power_sums(p, _finite_rows("point", from_quaternions(xs))))
 
 
 def _power_sums(p: TwoSidedPoly, pts: np.ndarray) -> np.ndarray:
@@ -259,9 +262,10 @@ def interpolation_feasible(xs) -> Feasibility:
     and the imaginary norm, agree within `TOL_EQ`.  Coinciding points are
     equivalent, so only equivalent pairs are measured; and a chain of
     equivalences holds three points exactly when one point has two
-    equivalent partners.
+    equivalent partners.  Raises NonFiniteValue for a node that is not
+    finite.
     """
-    pts = xs if isinstance(xs, np.ndarray) else from_quaternions(xs)
+    pts = _finite_rows("node", xs if isinstance(xs, np.ndarray) else from_quaternions(xs))
     with np.errstate(over="ignore", invalid="ignore"):
         re = pts[:, 0]
         im = np.hypot(np.hypot(pts[:, 1], pts[:, 2]), pts[:, 3])  # no overflow
@@ -284,16 +288,22 @@ def interpolation_feasible(xs) -> Feasibility:
     return Feasibility(True)
 
 
+def _finite_rows(what: str, arr: np.ndarray) -> np.ndarray:
+    """The (n, 4) array `arr` of points, nodes or values, when every row is
+    finite; NonFiniteValue naming the first row that is not, otherwise."""
+    bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
+    if bad.size:
+        raise NonFiniteValue(f"{what} {bad[0]} is not finite: {Quaternion(*arr[bad[0]])}")
+    return arr
+
+
 def _node_powers(xs):
     """(n, 4) array of the nodes and their `_vandermonde` power table.
 
     Raises NonFiniteValue for a node that is not finite or whose powers
     overflow.
     """
-    nodes = from_quaternions(xs)
-    bad = np.flatnonzero(~np.all(np.isfinite(nodes), axis=1))
-    if bad.size:
-        raise NonFiniteValue(f"node {bad[0]} is not finite: {xs[bad[0]]}")
+    nodes = _finite_rows("node", from_quaternions(xs))
     powers = _vandermonde(nodes)
     bad = np.flatnonzero(~np.all(np.isfinite(powers), axis=(1, 2)))
     if bad.size:
@@ -391,10 +401,7 @@ def interpolate(xs, ys) -> OneSidedPoly:
     if n == 0:
         return OneSidedPoly()
     nodes, powers = _node_powers(xs)
-    values = from_quaternions(ys)
-    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=1))
-    if bad.size:
-        raise NonFiniteValue(f"value {bad[0]} is not finite: {ys[bad[0]]}")
+    values = _finite_rows("value", from_quaternions(ys))
     feas = interpolation_feasible(nodes)
     if not feas:
         raise InfeasiblePoints(feas.reason)
@@ -463,9 +470,10 @@ def nbody_naive(poles, xs) -> list:
 
     Each difference is inverted as `Quaternion.inverse` does, scaled by the
     power of two of its largest |component|, so a point 1e-170 from a pole
-    gives a finite sum.  A point equal to a pole raises ZeroDivisionError.
+    gives a finite sum.  A point equal to a pole raises ZeroDivisionError,
+    a point that is not finite NonFiniteValue.
     """
-    pts = from_quaternions(xs)
+    pts = _finite_rows("point", from_quaternions(xs))
     acc = np.zeros_like(pts)
     for a in np.asarray(poles, dtype=float).ravel():
         diff = pts.copy()

@@ -11,13 +11,31 @@ arrays, whose components are contiguous blocks, and writes the product
 into a buffer the caller owns, which may be one of the factors.  It works
 through cache-sized blocks and allocates the scratch of one block and
 nothing else.
+
+`finite` is the one check that coefficient containers run when they are
+built: a container holds finite coefficients or is not made.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteValue
 from .quaternion import Quaternion
+
+
+def finite(arr: np.ndarray) -> np.ndarray:
+    """`arr` itself when every entry is finite; NonFiniteValue otherwise.
+
+    Containers call it on their coefficients, so an infinite or NaN input
+    and a sum or product whose coefficients overflow are refused alike.
+    """
+    # the method, not np.all: about 3 us against 5 us of fixed cost, paid
+    # by every constant, variable and partial product of an expansion
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("coefficients are infinite or NaN: an input is, "
+                             "or a computed coefficient overflows")
+    return arr
 
 
 def qmul(a, b):

@@ -12,6 +12,10 @@ stays as the oracle.  Spectra are held component-first, one row per
 component, so the transforms run along contiguous rows, and the Hamilton
 product overwrites the first spectrum in its preallocated block
 (`qarray.qmul_into`).
+
+A sequence holds finite coefficients: `QSeq` checks them when it is built
+(`qarray.finite`), so an infinite or NaN input, and a sum or convolution
+whose coefficients overflow, raise NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import complexpoly
-from .errors import NonFiniteValue
-from .qarray import from_quaternions, qmul, qmul_into, to_quaternions
+from .qarray import finite, from_quaternions, qmul, qmul_into, to_quaternions
 from .quaternion import Quaternion
 
 
@@ -28,16 +31,17 @@ class QSeq:
     """Finite quaternion sequence; index l holds the coefficient of slot l.
 
     Stored as an (n, 4) float component array; `X` is (0, 1) in slot one,
-    i.e. ``QSeq([Quaternion(0), Quaternion(1)])``.
+    i.e. ``QSeq([Quaternion(0), Quaternion(1)])``.  Infinite or NaN
+    coefficients raise NonFiniteValue.
     """
 
     __slots__ = ("comps",)
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2 and coeffs.shape[1] == 4:
-            self.comps = np.array(coeffs, dtype=float, order="C")
+            self.comps = finite(np.array(coeffs, dtype=float, order="C"))
         else:
-            self.comps = from_quaternions(coeffs)
+            self.comps = finite(from_quaternions(coeffs))
 
     @classmethod
     def from_components(cls, arr) -> "QSeq":
@@ -69,11 +73,13 @@ class QSeq:
 
 
 def add(a: QSeq, b: QSeq) -> QSeq:
-    """Componentwise sum, zero-padded to the longer length."""
+    """Componentwise sum, zero-padded to the longer length.  Raises
+    NonFiniteValue when a coefficient overflows."""
     n = max(len(a), len(b))
     out = np.zeros((n, 4))
-    out[: len(a)] += a.comps
-    out[: len(b)] += b.comps
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[: len(a)] += a.comps
+        out[: len(b)] += b.comps
     return QSeq.from_components(out)
 
 
@@ -89,7 +95,7 @@ def convolve_naive(a: QSeq, b: QSeq) -> QSeq:
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n):
             out[t:t + m] += qmul(a.comps[t], b.comps)
-    return _finite_product(out)
+    return QSeq.from_components(out)
 
 
 def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
@@ -114,13 +120,7 @@ def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
         np.fft.rfft(b.comps.T, n=size, axis=-1, out=work[1])
         qmul_into(work[0], work[1], work[0])
         out = np.fft.irfft(work[0], n=size, axis=-1)[:, :out_len].T
-    return _finite_product(out)
-
-
-def _finite_product(comps) -> QSeq:
-    if not np.all(np.isfinite(comps)):
-        raise NonFiniteValue("convolution coefficients overflow")
-    return QSeq.from_components(comps)
+    return QSeq.from_components(out)
 
 
 def random_qseq(n: int, rng) -> QSeq:

@@ -293,7 +293,7 @@ def test_criterion_12_expression_round_trip():
         for t in terms[1:]:
             text += ("+" if rng.random() < 0.5 else "-") + t
         e = ex.parse_expression(text)
-        assert e.n_tokens <= 60
+        assert ex.node_count(e.root) <= 60
         quad = ex.expand(e)
         for _ in range(50):
             x = random_quaternion(rng)

@@ -36,7 +36,7 @@ def test_parse_shapes():
     assert isinstance(e.root, ex.Mul)
     assert isinstance(e.root.left, ex.Mul)
     assert isinstance(e.root.left.left, ex.Var)
-    assert e.n_tokens == 5 and not e.had_brackets
+    assert ex.node_count(e.root) == 5 and not e.had_brackets
     e = ex.parse_expression("X+i·X")  # product binds tighter
     assert isinstance(e.root, ex.Add)
     assert isinstance(e.root.right, ex.Mul)
@@ -162,7 +162,7 @@ def test_expand_matches_eval():
     term3 = ex.Mul(ex.Mul(ex.Mul(ex.Mul(ex.Const(consts[3]), ex.Var()), ex.Var()),
                           ex.Var()), ex.Const(consts[4]))
     tree = ex.Add(ex.Const(consts[0]), ex.Add(term2, term3))
-    e = ex.Expr(tree, n_tokens=ex.node_count(tree))
+    e = ex.Expr(tree)
     quad = ex.expand(e)
     assert quad.degree == 3
     for _ in range(50):
@@ -203,7 +203,15 @@ def test_expand_rejects_brackets():
     # manually built sum nested inside a product is just as bad
     tree = ex.Mul(ex.Add(ex.Var(), ex.Const(I)), ex.Var())
     with pytest.raises(BracketsNotAllowed):
-        ex.expand(ex.Expr(tree, n_tokens=5))
+        ex.expand(ex.Expr(tree))
+
+
+def test_zero_test_pool_is_sized_from_the_tree():
+    # X - iXi - jXj - kXk is 4 Re X, so this is 16 x0 (x0 - 1): zero at
+    # every point of {0, 1}^4, and of degree 2
+    e = ex.parse_expression("(X-i·X·i-j·X·j-k·X·k)·(X-i·X·i-j·X·j-k·X·k-4)")
+    for built in (e, ex.Expr(e.root)):
+        assert ex.zero_test(built, 1e-6, np.random.default_rng(0)) == "non-zero"
 
 
 def test_zero_test_verdicts():

@@ -303,6 +303,17 @@ def test_determinant_criteria_reject_non_finite_nodes(criterion, xs):
         criterion(xs)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs", [
+    [Quaternion(np.nan), ONE, Quaternion(2)],
+    [Quaternion(np.inf), ONE],
+    np.array([[0.0, -np.inf, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]),
+])
+def test_interpolation_feasible_rejects_non_finite_nodes(xs):
+    with pytest.raises(NonFiniteValue, match="node 0"):
+        os_.interpolation_feasible(xs)
+
+
 def test_interpolating_zeros_gives_zero_polynomial():
     # vanishing at deg+1 distinct reals forces every coefficient to zero
     rng = np.random.default_rng(11)
@@ -445,6 +456,17 @@ def test_non_finite_points_raise(entry):
     for bad in (Quaternion(0.1, np.inf, 0, 0.2), Quaternion(np.nan, 0, 0, 0),
                 Quaternion(0.3, 0, 0, -np.inf), Quaternion(0, 1.5e308, 1.5e308, 0)):
         with pytest.raises(NonFiniteValue):
+            call([Quaternion(0.3, 0.1, 0.2, 0), bad])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("oracle", ["multieval_naive", "nbody_naive"])
+def test_oracles_reject_non_finite_points(oracle):
+    call = {"multieval_naive": lambda xs: os_.multieval_naive(x2_plus_1(), xs),
+            "nbody_naive": lambda xs: os_.nbody_naive([0.0, 0.5], xs)}[oracle]
+    for bad in (Quaternion(np.inf, 1), Quaternion(0.1, np.nan, 0, 0),
+                Quaternion(0.3, 0, 0, -np.inf)):
+        with pytest.raises(NonFiniteValue, match="point 1"):
             call([Quaternion(0.3, 0.1, 0.2, 0), bad])
 
 
