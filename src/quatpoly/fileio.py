@@ -11,17 +11,20 @@ from .errors import ParseError
 from .quaternion import Quaternion, format_quaternion, parse_quaternion
 
 
-def parse_quaternion_lines(text: str, origin: str = "<input>") -> list[Quaternion]:
-    out = []
+def _numbered_quaternions(text: str, origin: str):
+    """(file line, Quaternion) for every non-blank line of `text`."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.strip()
         if not body:
             continue
         try:
-            out.append(parse_quaternion(body))
+            yield lineno, parse_quaternion(body)
         except ParseError as err:
             raise ParseError(f"{origin}:{lineno}: {err.args[0]}") from None
-    return out
+
+
+def parse_quaternion_lines(text: str, origin: str = "<input>") -> list[Quaternion]:
+    return [q for _, q in _numbered_quaternions(text, origin)]
 
 
 def read_quaternion_file(path: str) -> list[Quaternion]:
@@ -30,12 +33,12 @@ def read_quaternion_file(path: str) -> list[Quaternion]:
 
 
 def read_reals_file(path: str) -> list[float]:
-    values = []
-    for lineno, q in enumerate(read_quaternion_file(path), start=1):
+    with open(path, "r", encoding="utf-8") as fh:
+        numbered = list(_numbered_quaternions(fh.read(), path))
+    for lineno, q in numbered:
         if q.im_i != 0.0 or q.im_j != 0.0 or q.im_k != 0.0:
-            raise ParseError(f"{path}: line {lineno} must be a real number")
-        values.append(q.re)
-    return values
+            raise ParseError(f"{path}:{lineno}: must be a real number")
+    return [q.re for _, q in numbered]
 
 
 def format_quaternion_lines(qs) -> str:

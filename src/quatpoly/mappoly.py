@@ -50,7 +50,7 @@ import functools
 import numpy as np
 
 from . import complexpoly
-from .errors import EmptySampleSet, NonFiniteValue, ParseError, SingularTransform
+from .errors import EmptySampleSet, ParseError, SingularTransform
 from .qarray import finite, qmul, qmul_into
 from .quaternion import Quaternion
 
@@ -61,13 +61,6 @@ DEGREE_TRIM_REL = 1e-9
 TOL_SINGULAR = 1e-12
 
 NEG_INF = float("-inf")
-
-
-def _finite(name: str, value) -> np.ndarray:
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"non-finite {name}")
-    return arr
 
 
 @functools.lru_cache(maxsize=64)
@@ -422,7 +415,7 @@ class QuadruplePoly(_TablePoly):
         (len A0, ..., len A3, 4), complex if any abscissa is complex.
         A non-finite abscissa or value raises NonFiniteValue.
         """
-        axes = [_finite(f"grid axis {m}", np.atleast_1d(np.asarray(a)))
+        axes = [finite(np.atleast_1d(a), f"grid axis {m} entry")
                 for m, a in enumerate(axes)]
         if len(axes) != 4:
             raise ValueError("grid_multieval needs four abscissa sequences")
@@ -431,8 +424,7 @@ class QuadruplePoly(_TablePoly):
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(4):
                 out = _eval_axis(out, m, axes[m])
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteValue("grid values overflow")
+        finite(out, "overflowing grid value at axis-0 index")
         return out if cplx else out.real
 
     def affine_substitute(self, matrix, offset) -> "QuadruplePoly":
@@ -444,8 +436,8 @@ class QuadruplePoly(_TablePoly):
         matrix or offset, or substituted coefficients that overflow, raise
         NonFiniteValue.
         """
-        t = _finite("affine matrix", matrix).astype(float).reshape(4, 4)
-        y = _finite("affine offset", offset).astype(float).reshape(4)
+        t = finite(np.asarray(matrix, dtype=float).reshape(4, 4), "affine matrix row")
+        y = finite(np.asarray(offset, dtype=float).reshape(4), "affine offset entry")
         size = _support_degree(self.table) + 1
         if size == 0:
             return QuadruplePoly.zero()
@@ -460,7 +452,7 @@ class QuadruplePoly(_TablePoly):
         exceeds 1 / TOL_SINGULAR, and NonFiniteValue on a non-finite
         matrix, offset or grid axis.
         """
-        t = _finite("affine matrix", matrix).astype(float).reshape(4, 4)
+        t = finite(np.asarray(matrix, dtype=float).reshape(4, 4), "affine matrix row")
         if np.linalg.cond(t) > 1.0 / TOL_SINGULAR:
             raise SingularTransform("affine grid transform is numerically singular")
         return self.affine_substitute(t, offset).grid_multieval(axes)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complexpoly
-from .errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
-from .qarray import finite, from_quaternions, qmul, to_quaternions
+from .errors import InfeasiblePoints, NumericallySingular, PoleCollision
+from .qarray import component_rows, finite, from_quaternions, qmul, to_quaternions
 from .quaternion import TOL_EQ, Quaternion, rotation_to_complex
 
 #: |det| below 1e-9 x (Hadamard row bound) counts as a vanishing determinant
@@ -47,13 +47,14 @@ TOL_RESIDUAL = 1e-8
 
 class OneSidedPoly:
     """sum a_l X^l with left coefficients; degree -1 for the zero polynomial.
-    Infinite or NaN coefficients raise NonFiniteValue."""
+    Infinite or NaN coefficients raise NonFiniteValue, an array not of
+    shape (n, 4) ValueError."""
 
     __slots__ = ("comps",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2 and coeffs.shape[1] == 4:
-            self.comps = finite(np.array(coeffs, dtype=float))
+        if isinstance(coeffs, np.ndarray):
+            self.comps = finite(np.array(component_rows(coeffs), dtype=float))
         else:
             self.comps = finite(from_quaternions(coeffs))
 
@@ -160,18 +161,17 @@ def multieval_fast(p, xs) -> list:
     Accepts a TwoSidedPoly or OneSidedPoly.  Each point is conjugated into
     the complex plane, the nonzero real component polynomials q[s, t] are
     multi-evaluated there in one batch, and the values are lifted back
-    with their basis factors.
+    with their basis factors.  Raises NonFiniteValue for a point that is
+    not finite, whatever the polynomial.
     """
     if isinstance(p, OneSidedPoly):
         p = TwoSidedPoly.from_one_sided(p)
     xs = list(xs)
-    n_pts = len(xs)
-    if n_pts == 0:
+    if not xs:
         return []
-    if len(p) == 0:
-        return [Quaternion() for _ in range(n_pts)]
-
     ws, ys = _rotate_to_complex(xs)
+    if len(p) == 0:
+        return [Quaternion() for _ in xs]
     cells = decompose_to_real(p).reshape(16, -1)
     live = np.flatnonzero(np.any(cells != 0.0, axis=1))
     # a value that overflows raises NonFiniteValue in _lift
@@ -194,9 +194,7 @@ def _rotate_to_complex(xs):
         u, y = rotation_to_complex(x)
         us[l] = u.components()
         ys[l] = complex(y.re, y.im_i)
-    bad = np.flatnonzero(~np.isfinite(ys))
-    if bad.size:
-        raise NonFiniteValue(f"point {bad[0]} is not finite: {xs[bad[0]]}")
+    finite(ys, "point")
     uinv = us * (1.0, -1.0, -1.0, -1.0)  # unit conjugators: inverse is the conjugate
     return qmul(qmul(uinv, (0.0, 1.0, 0.0, 0.0)), us), ys
 
@@ -210,9 +208,7 @@ def _lift(vals, ws, triples):
     one matrix product over cells and the basis coordinates of 1 and w.
     Raises NonFiniteValue when a value overflowed.
     """
-    bad = np.nonzero(~np.isfinite(vals))[-1]
-    if bad.size:
-        raise NonFiniteValue(f"value at point {bad[0]} is not finite")
+    finite(vals.T, "value at point")
     coords = np.empty(vals.shape[::-1] + (4,))
     coords[..., 0] = vals.real.T
     np.multiply(vals.imag.T[..., None], ws[:, None, 1:], out=coords[..., 1:])
@@ -224,11 +220,14 @@ def multieval_naive(p, xs) -> list:
 
     Powers are summed directly, independently of the rotation path, and
     vectorized over the points only.  Raises NonFiniteValue for a point
-    that is not finite.
+    that is not finite or a value that overflows, as `multieval_fast` does.
     """
     if isinstance(p, OneSidedPoly):
         p = TwoSidedPoly.from_one_sided(p)
-    return to_quaternions(_power_sums(p, _finite_rows("point", from_quaternions(xs))))
+    pts = finite(from_quaternions(xs), "point")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _power_sums(p, pts)
+    return to_quaternions(finite(values, "value at point"))
 
 
 def _power_sums(p: TwoSidedPoly, pts: np.ndarray) -> np.ndarray:
@@ -265,7 +264,7 @@ def interpolation_feasible(xs) -> Feasibility:
     equivalent partners.  Raises NonFiniteValue for a node that is not
     finite.
     """
-    pts = _finite_rows("node", xs if isinstance(xs, np.ndarray) else from_quaternions(xs))
+    pts = finite(xs if isinstance(xs, np.ndarray) else from_quaternions(xs), "node")
     with np.errstate(over="ignore", invalid="ignore"):
         re = pts[:, 0]
         im = np.hypot(np.hypot(pts[:, 1], pts[:, 2]), pts[:, 3])  # no overflow
@@ -288,27 +287,14 @@ def interpolation_feasible(xs) -> Feasibility:
     return Feasibility(True)
 
 
-def _finite_rows(what: str, arr: np.ndarray) -> np.ndarray:
-    """The (n, 4) array `arr` of points, nodes or values, when every row is
-    finite; NonFiniteValue naming the first row that is not, otherwise."""
-    bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
-    if bad.size:
-        raise NonFiniteValue(f"{what} {bad[0]} is not finite: {Quaternion(*arr[bad[0]])}")
-    return arr
-
-
 def _node_powers(xs):
     """(n, 4) array of the nodes and their `_vandermonde` power table.
 
     Raises NonFiniteValue for a node that is not finite or whose powers
     overflow.
     """
-    nodes = _finite_rows("node", from_quaternions(xs))
-    powers = _vandermonde(nodes)
-    bad = np.flatnonzero(~np.all(np.isfinite(powers), axis=(1, 2)))
-    if bad.size:
-        raise NonFiniteValue(f"powers of node {bad[0]} overflow: {xs[bad[0]]}")
-    return nodes, powers
+    nodes = finite(from_quaternions(xs), "node")
+    return nodes, finite(_vandermonde(nodes), "a power of node")
 
 
 def _vandermonde(pts: np.ndarray) -> np.ndarray:
@@ -401,7 +387,7 @@ def interpolate(xs, ys) -> OneSidedPoly:
     if n == 0:
         return OneSidedPoly()
     nodes, powers = _node_powers(xs)
-    values = _finite_rows("value", from_quaternions(ys))
+    values = finite(from_quaternions(ys), "value")
     feas = interpolation_feasible(nodes)
     if not feas:
         raise InfeasiblePoints(feas.reason)
@@ -438,18 +424,16 @@ def nbody_multieval(poles, xs) -> list:
     pole distances (hierarchically for large inputs): forming q and
     dividing the evaluations would lose every significant digit wherever
     the product of distances is small against q's coefficients, which is
-    exactly the near-interval region the kernel is about.
+    exactly the near-interval region the kernel is about.  Raises
+    NonFiniteValue for a pole or point that is not finite.
     """
-    poles = np.asarray(list(poles), dtype=float)
+    poles = finite(np.asarray(list(poles), dtype=float), "pole")
     xs = list(xs)
-    bad = np.flatnonzero(~np.isfinite(poles))
-    if bad.size:
-        raise NonFiniteValue(f"pole {bad[0]} is not finite: {poles[bad[0]]}")
-    if poles.size == 0:
-        return [Quaternion() for _ in xs]
     if not xs:
         return []
     ws, ys = _rotate_to_complex(xs)
+    if poles.size == 0:
+        return [Quaternion() for _ in xs]
     # the nearest real pole to y is a neighbour of Re(y) in sorted order
     srt = np.sort(poles)
     right = np.minimum(np.searchsorted(srt, ys.real), srt.size - 1)
@@ -471,11 +455,12 @@ def nbody_naive(poles, xs) -> list:
     Each difference is inverted as `Quaternion.inverse` does, scaled by the
     power of two of its largest |component|, so a point 1e-170 from a pole
     gives a finite sum.  A point equal to a pole raises ZeroDivisionError,
-    a point that is not finite NonFiniteValue.
+    a pole or point that is not finite NonFiniteValue.
     """
-    pts = _finite_rows("point", from_quaternions(xs))
+    poles = finite(np.asarray(poles, dtype=float).ravel(), "pole")
+    pts = finite(from_quaternions(xs), "point")
     acc = np.zeros_like(pts)
-    for a in np.asarray(poles, dtype=float).ravel():
+    for a in poles:
         diff = pts.copy()
         diff[:, 0] -= a
         big = np.max(np.abs(diff), axis=1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import complexpoly
-from .qarray import finite, from_quaternions, qmul, qmul_into, to_quaternions
+from .qarray import component_rows, finite, from_quaternions, qmul, qmul_into, to_quaternions
 from .quaternion import Quaternion
 
 
@@ -32,14 +32,15 @@ class QSeq:
 
     Stored as an (n, 4) float component array; `X` is (0, 1) in slot one,
     i.e. ``QSeq([Quaternion(0), Quaternion(1)])``.  Infinite or NaN
-    coefficients raise NonFiniteValue.
+    coefficients raise NonFiniteValue, an array not of shape (n, 4)
+    ValueError.
     """
 
     __slots__ = ("comps",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2 and coeffs.shape[1] == 4:
-            self.comps = finite(np.array(coeffs, dtype=float, order="C"))
+        if isinstance(coeffs, np.ndarray):
+            self.comps = finite(np.array(component_rows(coeffs), dtype=float, order="C"))
         else:
             self.comps = finite(from_quaternions(coeffs))
 

@@ -173,6 +173,12 @@ def test_file_errors(tmp_path, capsys):
     code, _, err = run_main(capsys, ["convolve", "-a", str(tmp_path / "bad.txt"),
                                      "-b", str(tmp_path / "bad.txt")])
     assert code == 2 and ":1:" in err
+    # blank lines count: the imaginary pole sits on line 4 of the file
+    (tmp_path / "poles.txt").write_text("1\n\n2\n3i\n")
+    (tmp_path / "points.txt").write_text("0.5\n")
+    code, _, err = run_main(capsys, ["nbody", "-a", str(tmp_path / "poles.txt"),
+                                     "-x", str(tmp_path / "points.txt")])
+    assert code == 2 and "poles.txt:4: must be a real number" in err
 
 
 def test_usage_error_exit_2(capsys):

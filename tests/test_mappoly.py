@@ -635,6 +635,14 @@ def test_containers_reject_non_finite_coefficients(name):
             CONTAINERS[name](value)
 
 
+@pytest.mark.parametrize("make", [sp.QSeq, os_.OneSidedPoly], ids=["QSeq", "OneSidedPoly"])
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 4, 1)])
+def test_containers_reject_misshapen_component_arrays(make, shape):
+    # an array of coefficients must be (n, 4); the CLI maps ValueError to exit 2
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        make(np.ones(shape))
+
+
 @pytest.mark.filterwarnings("error")
 def test_sums_that_overflow_raise():
     big = mp.QuadruplePoly.constant(Quaternion(1e308))

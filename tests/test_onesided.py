@@ -448,10 +448,14 @@ def test_vandermonde_invertible_stays_finite_for_large_systems():
     assert not os_.vandermonde_invertible(bad)
 
 
-@pytest.mark.parametrize("entry", ["multieval", "nbody"])
+@pytest.mark.parametrize("entry", ["multieval", "nbody", "multieval of zero", "nbody, no poles"])
 def test_non_finite_points_raise(entry):
+    # the points are refused as the oracles refuse them, also where the
+    # polynomial or the pole set is empty
     call = {"multieval": lambda xs: os_.multieval_fast(x2_plus_1(), xs),
-            "nbody": lambda xs: os_.nbody_multieval([0.0, 0.5], xs)}[entry]
+            "nbody": lambda xs: os_.nbody_multieval([0.0, 0.5], xs),
+            "multieval of zero": lambda xs: os_.multieval_fast(os_.OneSidedPoly(), xs),
+            "nbody, no poles": lambda xs: os_.nbody_multieval([], xs)}[entry]
     # |Im x| of the last point is 2.1e308, past the double range
     for bad in (Quaternion(0.1, np.inf, 0, 0.2), Quaternion(np.nan, 0, 0, 0),
                 Quaternion(0.3, 0, 0, -np.inf), Quaternion(0, 1.5e308, 1.5e308, 0)):
@@ -460,10 +464,13 @@ def test_non_finite_points_raise(entry):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("oracle", ["multieval_naive", "nbody_naive"])
+@pytest.mark.parametrize("oracle", ["multieval_naive", "nbody_naive", "multieval_naive of zero",
+                                    "nbody_naive, no poles"])
 def test_oracles_reject_non_finite_points(oracle):
     call = {"multieval_naive": lambda xs: os_.multieval_naive(x2_plus_1(), xs),
-            "nbody_naive": lambda xs: os_.nbody_naive([0.0, 0.5], xs)}[oracle]
+            "nbody_naive": lambda xs: os_.nbody_naive([0.0, 0.5], xs),
+            "multieval_naive of zero": lambda xs: os_.multieval_naive(os_.OneSidedPoly(), xs),
+            "nbody_naive, no poles": lambda xs: os_.nbody_naive([], xs)}[oracle]
     for bad in (Quaternion(np.inf, 1), Quaternion(0.1, np.nan, 0, 0),
                 Quaternion(0.3, 0, 0, -np.inf)):
         with pytest.raises(NonFiniteValue, match="point 1"):
@@ -477,7 +484,14 @@ def test_non_finite_values_raise():
     rng = np.random.default_rng(16)
     y = 1.2 * np.exp(0.7j)
     p = os_.random_one_sided(4096, rng)
+    xs = [Quaternion(0.1, 0.2, 0.3, 0.1), Quaternion(y.real, y.imag)]
     with pytest.raises(NonFiniteValue):
-        os_.multieval_fast(p, [Quaternion(0.1, 0.2, 0.3, 0.1), Quaternion(y.real, y.imag)])
-    with pytest.raises(NonFiniteValue, match="pole 1"):
-        os_.nbody_multieval([0.0, np.nan], [Quaternion(0.3, 0.1, 0.2, 0)])
+        os_.multieval_fast(p, xs)
+    # the oracle refuses the same value, naming its point
+    with pytest.raises(NonFiniteValue, match="value at point 1"):
+        os_.multieval_naive(p, xs)
+    # the N-body oracle refuses the poles the fast kernel refuses
+    for kernel in (os_.nbody_multieval, os_.nbody_naive):
+        for poles, culprit in (([0.0, np.nan], "pole 1"), ([np.inf], "pole 0")):
+            with pytest.raises(NonFiniteValue, match=culprit):
+                kernel(poles, [Quaternion(0.3, 0.1, 0.2, 0)])
