@@ -30,6 +30,7 @@ from . import complexpoly
 from .errors import InfeasiblePoints, NumericallySingular, PoleCollision
 from .qarray import component_rows, finite, from_quaternions, qmul, to_quaternions
 from .quaternion import TOL_EQ, Quaternion, rotation_to_complex
+from .seqpoly import Rows
 
 #: |det| below 1e-9 x (Hadamard row bound) counts as a vanishing determinant
 TOL_DET_REL = 1e-9
@@ -45,31 +46,10 @@ TOL_PIVOT = 1e-12
 TOL_RESIDUAL = 1e-8
 
 
-class OneSidedPoly:
-    """sum a_l X^l with left coefficients; degree -1 for the zero polynomial.
-    Infinite or NaN coefficients raise NonFiniteValue, an array not of
-    shape (n, 4) ValueError."""
+class OneSidedPoly(Rows):
+    """sum a_l X^l with left coefficients; degree -1 for the zero polynomial."""
 
-    __slots__ = ("comps",)
-
-    def __init__(self, coeffs=()):
-        if isinstance(coeffs, np.ndarray):
-            self.comps = finite(np.array(component_rows(coeffs), dtype=float))
-        else:
-            self.comps = finite(from_quaternions(coeffs))
-
-    @classmethod
-    def from_components(cls, arr) -> "OneSidedPoly":
-        return cls(np.asarray(arr, dtype=float).reshape(-1, 4))
-
-    def __len__(self):
-        return self.comps.shape[0]
-
-    def __getitem__(self, l) -> Quaternion:
-        return Quaternion(*self.comps[l])
-
-    def __iter__(self):
-        return iter(to_quaternions(self.comps))
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -83,20 +63,18 @@ class OneSidedPoly:
             acc = acc * x + self[l]
         return acc
 
-    def __repr__(self):
-        return f"OneSidedPoly({[str(q) for q in self]})"
-
 
 class TwoSidedPoly:
     """sum a_l X^l b_l; entry l of each side belongs to power l.  Infinite
-    or NaN coefficients raise NonFiniteValue."""
+    or NaN coefficients raise NonFiniteValue, a side not of shape (n, 4)
+    ValueError."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, pairs=(), *, left=None, right=None):
         if left is not None or right is not None:
-            self.left = finite(np.array(left, dtype=float).reshape(-1, 4))
-            self.right = finite(np.array(right, dtype=float).reshape(-1, 4))
+            self.left = finite(np.array(component_rows(left), dtype=float))
+            self.right = finite(np.array(component_rows(right), dtype=float))
         else:
             pairs = list(pairs)
             self.left = finite(from_quaternions(q for q, _ in pairs))
@@ -117,6 +95,7 @@ class TwoSidedPoly:
         return Quaternion(*self.left[l]), Quaternion(*self.right[l])
 
     def two_sided_eval(self, x: Quaternion) -> Quaternion:
+        """Value at x by the literal power sums; NonFiniteValue when it overflows."""
         return Quaternion(*_power_sums(self, np.array([x.components()]))[0])
 
     def __repr__(self):
@@ -224,22 +203,23 @@ def multieval_naive(p, xs) -> list:
     """
     if isinstance(p, OneSidedPoly):
         p = TwoSidedPoly.from_one_sided(p)
-    pts = finite(from_quaternions(xs), "point")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _power_sums(p, pts)
-    return to_quaternions(finite(values, "value at point"))
+    return to_quaternions(_power_sums(p, finite(from_quaternions(xs), "point")))
 
 
 def _power_sums(p: TwoSidedPoly, pts: np.ndarray) -> np.ndarray:
-    """sum_l a_l x^l b_l for every row x of the (n_pts, 4) array `pts`."""
+    """sum_l a_l x^l b_l for every row x of the (n_pts, 4) array `pts`.
+
+    Raises NonFiniteValue when a value overflows.
+    """
     acc = np.zeros_like(pts)
     power = np.zeros_like(pts)
     power[:, 0] = 1.0
-    for l in range(len(p)):
-        if l:
-            power = qmul(power, pts)
-        acc += qmul(qmul(p.left[l], power), p.right[l])
-    return acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(len(p)):
+            if l:
+                power = qmul(power, pts)
+            acc += qmul(qmul(p.left[l], power), p.right[l])
+    return finite(acc, "value at point")
 
 
 # -- interpolation -------------------------------------------------------------
@@ -262,9 +242,10 @@ def interpolation_feasible(xs) -> Feasibility:
     equivalent, so only equivalent pairs are measured; and a chain of
     equivalences holds three points exactly when one point has two
     equivalent partners.  Raises NonFiniteValue for a node that is not
-    finite.
+    finite, ValueError for an array not of shape (n, 4).
     """
-    pts = finite(xs if isinstance(xs, np.ndarray) else from_quaternions(xs), "node")
+    pts = component_rows(xs) if isinstance(xs, np.ndarray) else from_quaternions(xs)
+    pts = finite(pts, "node")
     with np.errstate(over="ignore", invalid="ignore"):
         re = pts[:, 0]
         im = np.hypot(np.hypot(pts[:, 1], pts[:, 2]), pts[:, 3])  # no overflow

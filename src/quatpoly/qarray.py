@@ -15,7 +15,8 @@ nothing else.
 `finite` is the one finiteness check of the library: coefficient
 containers run it when they are built, so a container holds finite
 coefficients or is not made, and the evaluation paths run it on their
-points, nodes, values, poles and grid axes.
+points, nodes, values, poles and grid axes.  `component_rows` is the one
+shape check: every (n, 4) array of coefficients or nodes passes it.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ def finite(arr: np.ndarray, what: str | None = None) -> np.ndarray:
     raise NonFiniteValue(f"{what} {bad} is not finite")
 
 
-def component_rows(arr: np.ndarray) -> np.ndarray:
-    """`arr` itself when it is an (n, 4) component array; ValueError otherwise."""
+def component_rows(arr) -> np.ndarray:
+    """`arr` as an array when it is an (n, 4) component array; ValueError otherwise."""
+    arr = np.asarray(arr)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"expected an (n, 4) component array, got shape {arr.shape}")
     return arr
@@ -116,4 +118,4 @@ def from_quaternions(qs) -> np.ndarray:
 
 def to_quaternions(arr) -> list:
     """Quaternions of the rows of an (n, 4) array."""
-    return [Quaternion(*row) for row in np.asarray(arr, dtype=float).reshape(-1, 4).tolist()]
+    return [Quaternion(*row) for row in np.asarray(arr, dtype=float).tolist()]

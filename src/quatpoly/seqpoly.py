@@ -13,9 +13,10 @@ component, so the transforms run along contiguous rows, and the Hamilton
 product overwrites the first spectrum in its preallocated block
 (`qarray.qmul_into`).
 
-A sequence holds finite coefficients: `QSeq` checks them when it is built
-(`qarray.finite`), so an infinite or NaN input, and a sum or convolution
-whose coefficients overflow, raise NonFiniteValue.
+A sequence holds finite coefficients: `Rows`, the storage `QSeq` shares
+with `onesided.OneSidedPoly`, checks them when it is built (`qarray.finite`),
+so an infinite or NaN input, and a sum or convolution whose coefficients
+overflow, raise NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .qarray import component_rows, finite, from_quaternions, qmul, qmul_into, t
 from .quaternion import Quaternion
 
 
-class QSeq:
-    """Finite quaternion sequence; index l holds the coefficient of slot l.
+class Rows:
+    """Finite quaternion coefficients, row l holding coefficient l: the
+    storage that sequences and one-sided polynomials share.
 
-    Stored as an (n, 4) float component array; `X` is (0, 1) in slot one,
-    i.e. ``QSeq([Quaternion(0), Quaternion(1)])``.  Infinite or NaN
-    coefficients raise NonFiniteValue, an array not of shape (n, 4)
+    Stored as a C-ordered (n, 4) float component array `comps`, built from
+    an iterable of Quaternion or copied from an (n, 4) array.  Infinite or
+    NaN coefficients raise NonFiniteValue, an array not of shape (n, 4)
     ValueError.
     """
 
@@ -45,8 +47,8 @@ class QSeq:
             self.comps = finite(from_quaternions(coeffs))
 
     @classmethod
-    def from_components(cls, arr) -> "QSeq":
-        return cls(np.asarray(arr, dtype=float).reshape(-1, 4))
+    def from_components(cls, arr):
+        return cls(np.asarray(arr, dtype=float))
 
     def __len__(self):
         return self.comps.shape[0]
@@ -56,6 +58,18 @@ class QSeq:
 
     def __iter__(self):
         return iter(to_quaternions(self.comps))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[str(q) for q in self]})"
+
+
+class QSeq(Rows):
+    """Finite quaternion sequence; index l holds the coefficient of slot l.
+
+    `X` is (0, 1) in slot one, i.e. ``QSeq([Quaternion(0), Quaternion(1)])``.
+    """
+
+    __slots__ = ()
 
     def __eq__(self, other):
         if not isinstance(other, QSeq):
@@ -68,9 +82,6 @@ class QSeq:
 
     def __mul__(self, other):
         return convolve_fast(self, other)
-
-    def __repr__(self):
-        return f"QSeq({[str(q) for q in self]})"
 
 
 def add(a: QSeq, b: QSeq) -> QSeq:
@@ -105,23 +116,27 @@ def convolve_fast(a: QSeq, b: QSeq) -> QSeq:
 
     The components are transformed component-first, as rows of one
     ``(2, 4, size // 2 + 1)`` work block that holds both spectra; their
-    product overwrites the first.  Matches `convolve_naive` up to
-    rounding; raises NonFiniteValue when a coefficient overflows.
+    product overwrites the first, and the inverse transform runs into the
+    second, which nothing reads after the product.  Matches
+    `convolve_naive` up to rounding; raises NonFiniteValue when a
+    coefficient overflows.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return QSeq()
     out_len = n + m - 1
     size = complexpoly._next_pow2(out_len)
-    # one block for both spectra: freed separately, large temporaries go
-    # back to the OS and fault in again on every call
+    # one block for both spectra and the result: freed separately, large
+    # temporaries go back to the OS and fault in again on every call
     work = np.empty((2, 4, size // 2 + 1), dtype=np.complex128)
+    # the real result, 4 * size floats, in the second spectrum's 4 * size + 8
+    res = work[1].reshape(-1).view(np.float64)[:4 * size].reshape(4, size)
     with np.errstate(over="ignore", invalid="ignore"):
         np.fft.rfft(a.comps.T, n=size, axis=-1, out=work[0])
         np.fft.rfft(b.comps.T, n=size, axis=-1, out=work[1])
         qmul_into(work[0], work[1], work[0])
-        out = np.fft.irfft(work[0], n=size, axis=-1)[:, :out_len].T
-    return QSeq.from_components(out)
+        np.fft.irfft(work[0], n=size, axis=-1, out=res)
+    return QSeq.from_components(res[:, :out_len].T)
 
 
 def random_qseq(n: int, rng) -> QSeq:

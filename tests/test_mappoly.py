@@ -635,8 +635,12 @@ def test_containers_reject_non_finite_coefficients(name):
             CONTAINERS[name](value)
 
 
-@pytest.mark.parametrize("make", [sp.QSeq, os_.OneSidedPoly], ids=["QSeq", "OneSidedPoly"])
-@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 4, 1)])
+@pytest.mark.parametrize("make", [
+    sp.QSeq, os_.OneSidedPoly, sp.QSeq.from_components, os_.OneSidedPoly.from_components,
+    lambda arr: os_.TwoSidedPoly(left=arr, right=arr),
+], ids=["QSeq", "OneSidedPoly", "QSeq.from_components", "OneSidedPoly.from_components",
+        "TwoSidedPoly"])
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 4, 1), (2, 6)])
 def test_containers_reject_misshapen_component_arrays(make, shape):
     # an array of coefficients must be (n, 4); the CLI maps ValueError to exit 2
     with pytest.raises(ValueError, match=r"\(n, 4\)"):

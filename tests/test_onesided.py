@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quatpoly import onesided as os_
+from quatpoly import seqpoly as sp
 from quatpoly.errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
 from quatpoly.quaternion import (
     I, J, K, Quaternion, apply_automorphism, random_quaternion, rotation_to_complex,
@@ -314,6 +315,13 @@ def test_interpolation_feasible_rejects_non_finite_nodes(xs):
         os_.interpolation_feasible(xs)
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (3, 3), (4,)])
+def test_interpolation_feasible_rejects_misshapen_nodes(shape):
+    # the rows of an array are nodes only when it is (n, 4)
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        os_.interpolation_feasible(np.arange(np.prod(shape), dtype=float).reshape(shape))
+
+
 def test_interpolating_zeros_gives_zero_polynomial():
     # vanishing at deg+1 distinct reals forces every coefficient to zero
     rng = np.random.default_rng(11)
@@ -490,8 +498,27 @@ def test_non_finite_values_raise():
     # the oracle refuses the same value, naming its point
     with pytest.raises(NonFiniteValue, match="value at point 1"):
         os_.multieval_naive(p, xs)
+    # and so does the two-sided evaluation at that one point
+    with pytest.raises(NonFiniteValue, match="value at point 0"):
+        os_.TwoSidedPoly.from_one_sided(p).two_sided_eval(xs[1])
     # the N-body oracle refuses the poles the fast kernel refuses
     for kernel in (os_.nbody_multieval, os_.nbody_naive):
         for poles, culprit in (([0.0, np.nan], "pole 1"), ([np.inf], "pole 0")):
             with pytest.raises(NonFiniteValue, match=culprit):
                 kernel(poles, [Quaternion(0.3, 0.1, 0.2, 0)])
+
+
+def test_fast_paths_and_oracles_agree_on_empty_inputs():
+    rng = np.random.default_rng(23)
+    x = Quaternion(0.3, 0.1, 0.2, 0.4)
+    polys = (os_.OneSidedPoly(), os_.TwoSidedPoly(),
+             os_.random_one_sided(3, rng), os_.random_two_sided(3, rng))
+    for p in polys:
+        assert os_.multieval_fast(p, []) == os_.multieval_naive(p, []) == []
+    for p in polys[:2]:
+        assert os_.multieval_fast(p, [x]) == os_.multieval_naive(p, [x]) == [Quaternion()]
+    assert os_.nbody_multieval([0.5, -0.5], []) == os_.nbody_naive([0.5, -0.5], []) == []
+    assert os_.nbody_multieval([], [x]) == os_.nbody_naive([], [x]) == [Quaternion()]
+    assert len(os_.interpolate([], [])) == 0
+    empty = sp.QSeq()
+    assert sp.convolve_fast(empty, empty) == sp.convolve_naive(empty, empty) == empty
