@@ -7,12 +7,13 @@ way, so the type carries no membership predicate.  The quadruple is stored
 as one coefficient table of shape (e0, e1, e2, e3, 4), component m in
 ``table[..., m]``; `QuadruplePoly.comps` are `RPoly4` views of it.
 
-Multiplication combines the sixteen pairwise component products with the
-basis sign table.  The fast path folds each exponent pair (e0, e1) and
-(e2, e3) onto one cyclic axis by (u, v) -> u + A v mod N.  A degree-D
-product has its pairs on the triangle u + v <= D, and triangles pack
-the plane with density 2/3, so some A makes the fold injective there at
-N near 3 D^2 / 4 rather than (D + 1)^2.  The fold is a group
+Multiplication is the Hamilton product of coefficients, summed over
+exponent pairs as for real polynomials.  The fast path folds each
+exponent pair (e0, e1) and (e2, e3) onto one cyclic axis by
+(u, v) -> u + A v mod N.  A degree-D product has its pairs on the
+triangle u + v <= D, and triangles pack the plane with density 2/3, so
+some A makes the fold injective there at N near 3 D^2 / 4 rather than
+(D + 1)^2.  The fold is a group
 homomorphism, so the cyclic product on Z_N1 x Z_N2 is the folded linear
 product, and a two-dimensional real FFT computes it: each factor's table
 is scattered onto the folded grid and transformed, the spectra are
@@ -22,7 +23,8 @@ rows a factor occupies and the inverse irfft only on the rows holding the
 product's simplex, whose entries beyond it are exactly 0.  Spectra are
 held component-first, so their Hamilton product runs on contiguous
 blocks, in place.  A constant factor multiplies the other table directly.
-The schoolbook scatter product of the components stays as the oracle.
+The oracle is the schoolbook product that sequences share,
+`qarray.schoolbook`.
 
 A grid's affine image x -> M.x + b is evaluated by substituting the map
 into the coefficient table, then evaluating the result axis by axis on
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import complexpoly
 from .errors import EmptySampleSet, ParseError, SingularTransform
-from .qarray import finite, qmul, qmul_into
+from .qarray import finite, qmul, qmul_into, schoolbook
 from .quaternion import Quaternion
 
 #: entries below this fraction of the largest one do not count for degrees
@@ -133,8 +135,7 @@ class RPoly4(_TablePoly):
     ``table[e0, e1, e2, e3]`` is the coefficient of X0^e0 X1^e1 X2^e2 X3^e3;
     the stored box is the per-axis bound, entries beyond the total-degree
     simplex are simply zero.  Infinite or NaN coefficients raise
-    NonFiniteValue.  Its one product is the schoolbook `mul_naive`, the
-    oracle of the component products.
+    NonFiniteValue.  Its one product is the schoolbook `mul_naive`.
     """
 
     __slots__ = ()
@@ -162,10 +163,10 @@ class RPoly4(_TablePoly):
         return cls(t)
 
     def mul_naive(self, other: "RPoly4") -> "RPoly4":
-        """Schoolbook product: scatter every coefficient pair.  Raises
-        NonFiniteValue when a coefficient overflows."""
+        """Schoolbook product (`qarray.schoolbook`).  Raises NonFiniteValue
+        when a coefficient overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return RPoly4(_scatter_mul(self.table, other.table))
+            return RPoly4(schoolbook(self.table, other.table, 4, np.multiply))
 
 
 def _trimmed_degree(table):
@@ -176,21 +177,6 @@ def _trimmed_degree(table):
     if peak == 0.0:
         return NEG_INF
     return _support_degree(table, DEGREE_TRIM_REL * peak)
-
-
-def _scatter_mul(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    shape = tuple(a + b - 1 for a, b in zip(ta.shape, tb.shape))
-    out = np.zeros(shape)
-    ia = np.argwhere(ta)
-    if ia.size == 0 or not np.any(tb):
-        return out
-    ib = np.argwhere(tb)
-    va = ta[tuple(ia.T)]
-    vb = tb[tuple(ib.T)]
-    pairs = ia[:, None, :] + ib[None, :, :]
-    flat = np.ravel_multi_index(tuple(pairs.reshape(-1, 4).T), shape)
-    np.add.at(out.reshape(-1), flat, (va[:, None] * vb[None, :]).ravel())
-    return out
 
 
 def _support_degree(table: np.ndarray, floor: float = 0.0) -> int:
@@ -303,15 +289,6 @@ def _power_vectors(extents, coords):
     return [np.asarray(coords[m]) ** np.arange(extents[m]) for m in range(4)]
 
 
-def _combine16(prod):
-    """Basis sign table: 16 component products -> the 4 result components."""
-    h0 = prod[0][0] - prod[1][1] - prod[2][2] - prod[3][3]
-    h1 = prod[0][1] + prod[1][0] + prod[2][3] - prod[3][2]
-    h2 = prod[0][2] + prod[2][0] + prod[3][1] - prod[1][3]
-    h3 = prod[0][3] + prod[3][0] + prod[1][2] - prod[2][1]
-    return h0, h1, h2, h3
-
-
 class QuadruplePoly(_TablePoly):
     """Quaternion polynomial mapping: one table of shape (e0, e1, e2, e3, 4)
     whose entry [e0, e1, e2, e3, m] is the coefficient of
@@ -358,10 +335,11 @@ class QuadruplePoly(_TablePoly):
         return tuple(RPoly4(self.table[..., m]) for m in range(4))
 
     def mul_naive(self, other: "QuadruplePoly") -> "QuadruplePoly":
-        """Schoolbook product of the components, combined by the basis sign
-        table.  Raises NonFiniteValue when a coefficient overflows."""
-        prod = [[a.mul_naive(b) for b in other.comps] for a in self.comps]
-        return QuadruplePoly(_combine16(prod))
+        """Schoolbook product with the Hamilton product of coefficients
+        (`qarray.schoolbook`).  Raises NonFiniteValue when a coefficient
+        overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return QuadruplePoly(schoolbook(self.table, other.table, 4, qmul))
 
     def mul_fast(self, other: "QuadruplePoly") -> "QuadruplePoly":
         """FFT product: the component-first spectra of both tables, folded

@@ -35,7 +35,7 @@ from .seqpoly import Rows
 #: |det| below 1e-9 x (Hadamard row bound) counts as a vanishing determinant
 TOL_DET_REL = 1e-9
 
-#: minimum allowed distance between a reduced point and a pole
+#: a reduced point within this fraction of max |a_l| of a pole a_l collides
 TOL_POLE = 1e-9
 
 #: LU pivot ratio below this raises NumericallySingular
@@ -238,7 +238,9 @@ def interpolation_feasible(xs) -> Feasibility:
 
     `xs` is an iterable of Quaternion or an (n, 4) component array.  Two
     points are equivalent when their conjugation invariants, the real part
-    and the imaginary norm, agree within `TOL_EQ`.  Coinciding points are
+    and the imaginary norm, agree within `TOL_EQ` times the largest node
+    norm, and coincide when their distance is that small, so the verdict
+    does not change when every node is scaled.  Coinciding points are
     equivalent, so only equivalent pairs are measured; and a chain of
     equivalences holds three points exactly when one point has two
     equivalent partners.  Raises NonFiniteValue for a node that is not
@@ -248,12 +250,15 @@ def interpolation_feasible(xs) -> Feasibility:
     pts = finite(pts, "node")
     with np.errstate(over="ignore", invalid="ignore"):
         re = pts[:, 0]
-        im = np.hypot(np.hypot(pts[:, 1], pts[:, 2]), pts[:, 3])  # no overflow
-        equiv = ((np.abs(re[:, None] - re) <= TOL_EQ)
-                 & (np.abs(im[:, None] - im) <= TOL_EQ))
+        # hypot throughout: no squared component over- or underflows
+        im = np.hypot(np.hypot(pts[:, 1], pts[:, 2]), pts[:, 3])
+        tol = TOL_EQ * np.max(np.hypot(re, im), initial=0.0)
+        equiv = ((np.abs(re[:, None] - re) <= tol)
+                 & (np.abs(im[:, None] - im) <= tol))
         np.fill_diagonal(equiv, False)
         first, second = np.nonzero(np.triu(equiv))
-        close = np.flatnonzero(np.linalg.norm(pts[first] - pts[second], axis=1) <= TOL_EQ)
+        d = (pts[first] - pts[second]).T
+        close = np.flatnonzero(np.hypot(np.hypot(d[0], d[1]), np.hypot(d[2], d[3])) <= tol)
     if close.size:
         a, b = first[close[0]], second[close[0]]
         return Feasibility(False, f"points {a} and {b} coincide")
@@ -406,7 +411,9 @@ def nbody_multieval(poles, xs) -> list:
     dividing the evaluations would lose every significant digit wherever
     the product of distances is small against q's coefficients, which is
     exactly the near-interval region the kernel is about.  Raises
-    NonFiniteValue for a pole or point that is not finite.
+    PoleCollision for a point that reduces within TOL_POLE * max |a_l| of
+    a pole, an exact hit included, and NonFiniteValue for a pole or point
+    that is not finite.
     """
     poles = finite(np.asarray(list(poles), dtype=float), "pole")
     xs = list(xs)
@@ -420,10 +427,10 @@ def nbody_multieval(poles, xs) -> list:
     right = np.minimum(np.searchsorted(srt, ys.real), srt.size - 1)
     left = np.maximum(right - 1, 0)
     dist = np.minimum(np.abs(ys - srt[left]), np.abs(ys - srt[right]))
-    bad = np.nonzero(dist < TOL_POLE)[0]
+    tol = TOL_POLE * float(np.max(np.abs(poles)))
+    bad = np.nonzero(dist <= tol)[0]
     if bad.size:
-        raise PoleCollision(
-            f"point {bad[0]} reduces within {TOL_POLE} of a pole")
+        raise PoleCollision(f"point {bad[0]} reduces within {tol:.3g} of a pole")
 
     ratio = complexpoly.cauchy_line_sum(poles, np.ones_like(poles), ys)
     return to_quaternions(_lift(ratio[None], ws, _TRIPLES[:1]))

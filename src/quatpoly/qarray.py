@@ -12,6 +12,10 @@ into a buffer the caller owns, which may be one of the factors.  It works
 through cache-sized blocks and allocates the scratch of one block and
 nothing else.
 
+`schoolbook` is the one naive product, the oracle of every fast one: it
+shifts and adds the coefficient tables of sequences (one exponent axis)
+and of mappings and their real components (four axes).
+
 `finite` is the one finiteness check of the library: coefficient
 containers run it when they are built, so a container holds finite
 coefficients or is not made, and the evaluation paths run it on their
@@ -68,6 +72,33 @@ def qmul(a, b):
         a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
         a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
     ], axis=-1)
+
+
+def schoolbook(ta: np.ndarray, tb: np.ndarray, axes: int, mul) -> np.ndarray:
+    """Schoolbook product of two coefficient tables whose leading `axes`
+    axes are exponents: entry g of the result sums mul(ta[e], tb[f]) over
+    e + f = g.
+
+    `mul` multiplies an entry of one table into the whole other table by
+    broadcasting, keeping the factor order: `np.multiply` for real tables,
+    `qmul` for (..., 4) component tables.  The loop runs over the nonzero
+    exponent tuples e of the factor with fewer of them and adds
+    ``mul(ta[e], tb)``, or ``mul(ta, tb[e])``, into the result at offset
+    e, so no temporary is larger than the other factor.  A factor with an
+    empty exponent axis gives an empty result.
+    """
+    lead_a, lead_b = ta.shape[:axes], tb.shape[:axes]
+    shape = tuple(a + b - 1 if a and b else 0 for a, b in zip(lead_a, lead_b))
+    out = np.zeros(shape + np.broadcast_shapes(ta.shape[axes:], tb.shape[axes:]))
+    live_a, live_b = (np.argwhere(np.any(t != 0, axis=tuple(range(axes, t.ndim)))).tolist()
+                      for t in (ta, tb))
+    if len(live_a) <= len(live_b):
+        for e in live_a:
+            out[tuple(slice(i, i + n) for i, n in zip(e, lead_b))] += mul(ta[tuple(e)], tb)
+    else:
+        for e in live_b:
+            out[tuple(slice(i, i + n) for i, n in zip(e, lead_a))] += mul(ta, tb[tuple(e)])
+    return out
 
 
 #: entries per component of one `qmul_into` block: both factors, the

@@ -7,11 +7,11 @@ sequence does not commute with the convolution product over quaternions.
 
 The fast product transforms the four real component sequences of each
 operand with real FFTs, multiplies the spectra pointwise as quaternions
-with complex components, and transforms back; the naive double loop
-stays as the oracle.  Spectra are held component-first, one row per
-component, so the transforms run along contiguous rows, and the Hamilton
-product overwrites the first spectrum in its preallocated block
-(`qarray.qmul_into`).
+with complex components, and transforms back; the oracle is the
+schoolbook product that mappings share, `qarray.schoolbook`.  Spectra
+are held component-first, one row per component, so the transforms run
+along contiguous rows, and the Hamilton product overwrites the first
+spectrum in its preallocated block (`qarray.qmul_into`).
 
 A sequence holds finite coefficients: `Rows`, the storage `QSeq` shares
 with `onesided.OneSidedPoly`, checks them when it is built (`qarray.finite`),
@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import complexpoly
-from .qarray import component_rows, finite, from_quaternions, qmul, qmul_into, to_quaternions
+from .qarray import (component_rows, finite, from_quaternions, qmul, qmul_into, schoolbook,
+                     to_quaternions)
 from .quaternion import Quaternion
 
 
@@ -96,18 +97,13 @@ def add(a: QSeq, b: QSeq) -> QSeq:
 
 
 def convolve_naive(a: QSeq, b: QSeq) -> QSeq:
-    """Exact convolution c_l = sum_t a_t * b_(l-t); the factor order matters.
+    """Convolution c_l = sum_t a_t * b_(l-t) by shift and add
+    (`qarray.schoolbook`); the factor order matters.
 
     Raises NonFiniteValue when a coefficient overflows.
     """
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return QSeq()
-    out = np.zeros((n + m - 1, 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(n):
-            out[t:t + m] += qmul(a.comps[t], b.comps)
-    return QSeq.from_components(out)
+        return QSeq.from_components(schoolbook(a.comps, b.comps, 1, qmul))
 
 
 def convolve_fast(a: QSeq, b: QSeq) -> QSeq:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,42 @@ def test_mul_is_order_sensitive():
     assert mp.max_coeff_diff(var.mul_naive(ci), ci.mul_naive(var)) > 0.5
     p = mp.random_quadruple(2, np.random.default_rng(1))
     assert mp.max_coeff_diff(p.mul_naive(mp.QuadruplePoly.constant(ONE)), p) <= 1e-15
+
+
+def test_mul_naive_is_the_sum_over_coefficient_pairs():
+    # either factor may have the fewer live coefficients: both orders are
+    # the literal sum of scalar Quaternion products
+    rng = np.random.default_rng(26)
+    p, q = mp.random_quadruple(1, rng), mp.random_quadruple(2, rng)
+    for a, b in ((p, q), (q, p)):
+        want = np.zeros(tuple(x + y - 1 for x, y in zip(a.extents, b.extents)) + (4,))
+        for e in np.argwhere(np.any(a.table, axis=-1)):
+            for f in np.argwhere(np.any(b.table, axis=-1)):
+                prod = Quaternion(*a.table[tuple(e)]) * Quaternion(*b.table[tuple(f)])
+                want[tuple(e + f)] += prod.components()
+        assert np.max(np.abs(a.mul_naive(b).table - want)) <= 1e-15
+        ra, rb = a.comps[1], b.comps[3]
+        want = np.zeros(want.shape[:4])
+        for e in np.argwhere(ra.table):
+            for f in np.argwhere(rb.table):
+                want[tuple(e + f)] += ra.table[tuple(e)] * rb.table[tuple(f)]
+        assert np.max(np.abs(ra.mul_naive(rb).table - want)) <= 1e-15
+
+
+def test_oracle_memory_is_proportional_to_the_output():
+    # the schoolbook products allocate the product table and temporaries
+    # of the size of one factor; no pair of coefficients is materialized
+    rng = np.random.default_rng(27)
+    p, q = mp.random_quadruple(8, rng), mp.random_quadruple(8, rng)
+    for mul, a, b in [(mp.QuadruplePoly.mul_naive, p, q),
+                      (mp.RPoly4.mul_naive, p.comps[1], q.comps[2])]:
+        tracemalloc.start()
+        try:
+            out = mul(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.table.nbytes
 
 
 def test_ring_operations_are_pointwise():

@@ -175,10 +175,11 @@ def test_interpolation_feasible():
 
 
 def test_interpolation_feasible_chain():
-    # a ~ b and b ~ c within TOL_EQ, a and c apart: one class of three nodes
+    # a ~ b and b ~ c within TOL_EQ times the largest node norm, sqrt(2),
+    # a and c apart: one class of three nodes
     a = Quaternion(1, 1)
-    b = Quaternion(1 + 0.6e-9, 0, 1)
-    c = Quaternion(1 + 1.2e-9, 0, 0, 1)
+    b = Quaternion(1 + 0.9e-9, 0, 1)
+    c = Quaternion(1 + 1.8e-9, 0, 0, 1)
     assert os_.interpolation_feasible([a, b])
     assert os_.interpolation_feasible([a, c])
     for xs in ([a, b, c], [a, c, b], [b, c, a]):
@@ -187,6 +188,21 @@ def test_interpolation_feasible_chain():
         assert res.reason.endswith("0, 1, 2")
     # the first coinciding pair in lexicographic order is reported
     assert os_.interpolation_feasible([I, J, I, J]).reason == "points 0 and 2 coincide"
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-10, 1e100, 1e200])
+def test_interpolation_feasible_is_scale_free(scale):
+    # the tolerance is relative to the largest node norm, and no distance
+    # is squared: scaling every node keeps the verdict
+    rng = np.random.default_rng(31)
+    generic = rng.uniform(-1, 1, (6, 4))
+    pair = np.vstack([generic, [[0.5, 0.6, 0, 0.8], [0.5, -0.6, 0.8, 0]]])
+    duplicate = np.vstack([generic, generic[2]])
+    triple = np.vstack([[[0.5, 1, 0, 0], [0.5, 0, 1, 0]], generic, [[0.5, 0, 0, 1]]])
+    for reason, nodes in [("", generic), ("", pair), ("points 2 and 6 coincide", duplicate),
+                          ("three points are automorphically equivalent: 0, 1, 8", triple)]:
+        assert os_.interpolation_feasible(nodes).reason == reason
+        assert os_.interpolation_feasible(nodes * scale).reason == reason
 
 
 def test_vandermonde_matches_quaternion_powers():
@@ -411,6 +427,11 @@ def test_nbody_pole_collision():
         os_.nbody_multieval([0.5], [Quaternion(0.5, 1e-12, 0, 0)])
     # guard applies to the reduced point, not the raw coordinates
     os_.nbody_multieval([0.5], [Quaternion(0.5, 0.3, 0.2, 0.1)])
+    # poles all at 0 leave only exact hits: 1e-300 from the pole is no hit
+    with pytest.raises(PoleCollision):
+        os_.nbody_multieval([0.0, 0.0], [Quaternion(1), Quaternion()])
+    got = os_.nbody_multieval([0.0], [Quaternion(1e-300)])[0]
+    assert (got - Quaternion(1e300)).norm() <= 1e-15 * 1e300
 
 
 @pytest.mark.parametrize("pole", [-0.75, 0.125, 0.875])
@@ -423,6 +444,23 @@ def test_nbody_pole_collision_first_interior_last(pole):
         with pytest.raises(PoleCollision):
             os_.nbody_multieval(poles, [Quaternion(0.3), x])
     os_.nbody_multieval(poles, [Quaternion(pole, 0, 1e-6, 0)])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-10, 1e100, 1e200])
+def test_nbody_multieval_is_scale_free(scale):
+    # the collision guard is relative to max |a_l|: 64 poles and points,
+    # scaled alike, agree with the oracle, and a point 5e-10 max |a_l|
+    # from a pole still collides
+    rng = np.random.default_rng(30)
+    poles = rng.uniform(-1, 1, 64) * scale
+    xs = [random_quaternion(rng, scale) for _ in range(64)]
+    fast = os_.nbody_multieval(poles, xs)
+    naive = os_.nbody_naive(poles, xs)
+    for f, w in zip(fast, naive):
+        assert ((f - w) * scale).norm() <= 1e-7 * (w * scale).norm()
+    near = Quaternion(poles[3] + 5e-10 * float(np.max(np.abs(poles))))
+    with pytest.raises(PoleCollision):
+        os_.nbody_multieval(poles, [near])
 
 
 def test_multieval_naive_matches_literal_sums():

@@ -229,6 +229,16 @@ def test_qmul_complex_components_bilinear():
     assert qmul([0, 1, 0, 0], [0, 0, 1, 0]).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
+def test_qmul_is_the_scalar_product():
+    # the oracles and the fast paths share qmul's sign table, so it is
+    # pinned, exactly, to the independent scalar Quaternion product
+    rng = np.random.default_rng(22)
+    pairs = [(x, y) for x in BASIS for y in BASIS]
+    pairs += [(random_quaternion(rng), random_quaternion(rng)) for _ in range(100)]
+    for x, y in pairs:
+        assert np.array_equal(qmul(x.components(), y.components()), (x * y).components())
+
+
 def test_qmul_into_is_qmul_component_first():
     # bit-identical to qmul on the component-last arrays, with `out` a
     # fresh buffer or either factor, across block boundaries
