@@ -391,12 +391,14 @@ class QuadruplePoly(_TablePoly):
         values (fast multipoint evaluation once both the degree and the
         point count warrant it).  Returns an array of shape
         (len A0, ..., len A3, 4), complex if any abscissa is complex.
-        A non-finite abscissa or value raises NonFiniteValue.
+        Axes that are not four 1-D sequences raise ValueError, a non-finite
+        abscissa or value NonFiniteValue.
         """
-        axes = [finite(np.atleast_1d(a), f"grid axis {m} entry")
-                for m, a in enumerate(axes)]
-        if len(axes) != 4:
-            raise ValueError("grid_multieval needs four abscissa sequences")
+        axes = [np.asarray(a) for a in axes]
+        if len(axes) != 4 or any(a.ndim != 1 for a in axes):
+            raise ValueError("grid_multieval needs four 1-D abscissa sequences")
+        for m, a in enumerate(axes):
+            finite(a, f"grid axis {m} entry")
         cplx = any(np.iscomplexobj(a) for a in axes)
         out = self.table.astype(np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -410,12 +412,14 @@ class QuadruplePoly(_TablePoly):
 
         The table is cut to its exact support degree (`_support_degree`),
         so coefficients below the degree trim are substituted too.  Every
-        matrix is accepted, singular ones included; a non-finite
-        matrix or offset, or substituted coefficients that overflow, raise
+        matrix is accepted, singular ones included.  A matrix not of shape
+        (4, 4) or an offset not of shape (4,) raises ValueError; a non-finite
+        matrix or offset, or substituted coefficients that overflow,
         NonFiniteValue.
         """
-        t = finite(np.asarray(matrix, dtype=float).reshape(4, 4), "affine matrix row")
-        y = finite(np.asarray(offset, dtype=float).reshape(4), "affine offset entry")
+        return self._substitute(*_affine_map(matrix, offset))
+
+    def _substitute(self, t: np.ndarray, y: np.ndarray) -> "QuadruplePoly":
         size = _support_degree(self.table) + 1
         if size == 0:
             return QuadruplePoly.zero()
@@ -427,13 +431,14 @@ class QuadruplePoly(_TablePoly):
         """Values on the image of a grid under a regular affine map.
 
         Raises SingularTransform when the condition number of the matrix
-        exceeds 1 / TOL_SINGULAR, and NonFiniteValue on a non-finite
-        matrix, offset or grid axis.
+        exceeds 1 / TOL_SINGULAR, ValueError on a misshapen matrix, offset
+        or grid axis, as `affine_substitute` and `grid_multieval` do, and
+        NonFiniteValue on a non-finite one.
         """
-        t = finite(np.asarray(matrix, dtype=float).reshape(4, 4), "affine matrix row")
+        t, y = _affine_map(matrix, offset)
         if np.linalg.cond(t) > 1.0 / TOL_SINGULAR:
             raise SingularTransform("affine grid transform is numerically singular")
-        return self.affine_substitute(t, offset).grid_multieval(axes)
+        return self._substitute(t, y).grid_multieval(axes)
 
     # -- serialization ---------------------------------------------------------
 
@@ -484,6 +489,19 @@ class QuadruplePoly(_TablePoly):
         for e, coeffs in rows.items():
             table[e] = coeffs
         return cls(table)
+
+
+def _affine_map(matrix, offset):
+    """The matrix and offset of x -> matrix.x + offset as float arrays.
+
+    ValueError unless they have shapes (4, 4) and (4,); NonFiniteValue,
+    naming the row or entry, for one that is not finite.
+    """
+    t, y = np.asarray(matrix, dtype=float), np.asarray(offset, dtype=float)
+    if t.shape != (4, 4) or y.shape != (4,):
+        raise ValueError(f"an affine map needs a (4, 4) matrix and a (4,) offset, "
+                         f"got shapes {t.shape} and {y.shape}")
+    return finite(t, "affine matrix row"), finite(y, "affine offset entry")
 
 
 def _eval_axis(work: np.ndarray, axis: int, pts: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import complexpoly
 from .errors import InfeasiblePoints, NumericallySingular, PoleCollision
-from .qarray import component_rows, finite, from_quaternions, qmul, to_quaternions
+from .qarray import from_quaternions  # noqa: F401  qpbench/layers.py binds this name
+from .qarray import finite, qmul, rows, to_quaternions
 from .quaternion import TOL_EQ, Quaternion, rotation_to_complex
 from .seqpoly import Rows
 
@@ -65,20 +66,21 @@ class OneSidedPoly(Rows):
 
 
 class TwoSidedPoly:
-    """sum a_l X^l b_l; entry l of each side belongs to power l.  Infinite
-    or NaN coefficients raise NonFiniteValue, a side not of shape (n, 4)
-    ValueError."""
+    """sum a_l X^l b_l; entry l of each side belongs to power l.  Built from
+    (a_l, b_l) pairs of Quaternion, or from `left` and `right` component
+    arrays.  Infinite or NaN coefficients raise NonFiniteValue, a side not
+    of shape (n, 4) ValueError."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, pairs=(), *, left=None, right=None):
         if left is not None or right is not None:
-            self.left = finite(np.array(component_rows(left), dtype=float))
-            self.right = finite(np.array(component_rows(right), dtype=float))
+            self.left = rows(np.asarray(left, dtype=float))
+            self.right = rows(np.asarray(right, dtype=float))
         else:
             pairs = list(pairs)
-            self.left = finite(from_quaternions(q for q, _ in pairs))
-            self.right = finite(from_quaternions(q for _, q in pairs))
+            self.left = rows(q for q, _ in pairs)
+            self.right = rows(q for _, q in pairs)
         if self.left.shape != self.right.shape:
             raise ValueError("left/right coefficient counts differ")
 
@@ -86,7 +88,7 @@ class TwoSidedPoly:
     def from_one_sided(cls, p: OneSidedPoly) -> "TwoSidedPoly":
         right = np.zeros_like(p.comps)
         right[:, 0] = 1.0
-        return cls(left=p.comps.copy(), right=right)
+        return cls(left=p.comps, right=right)
 
     def __len__(self):
         return self.left.shape[0]
@@ -103,18 +105,22 @@ class TwoSidedPoly:
 
 
 class RootFormPoly:
-    """a0 (X - a1) ... (X - an), evaluated literally left to right."""
+    """a0 (X - a1) ... (X - an), evaluated literally left to right.
+    Infinite or NaN coefficients raise NonFiniteValue."""
 
     __slots__ = ("lead", "roots")
 
     def __init__(self, lead: Quaternion, roots=()):
         self.lead = lead
         self.roots = list(roots)
+        rows([lead, *self.roots])
 
     def root_form_eval(self, x: Quaternion) -> Quaternion:
+        """Value at x; NonFiniteValue when it overflows."""
         acc = self.lead
         for r in self.roots:
             acc = acc * (x - r)
+        finite(np.array([acc.components()]), "value at point")
         return acc
 
     def __repr__(self):
@@ -141,16 +147,14 @@ def multieval_fast(p, xs) -> list:
     the complex plane, the nonzero real component polynomials q[s, t] are
     multi-evaluated there in one batch, and the values are lifted back
     with their basis factors.  Raises NonFiniteValue for a point that is
-    not finite, whatever the polynomial.
+    not finite, whatever the polynomial.  The points are an iterable of
+    Quaternion or an (n, 4) component array.
     """
     if isinstance(p, OneSidedPoly):
         p = TwoSidedPoly.from_one_sided(p)
-    xs = list(xs)
-    if not xs:
-        return []
     ws, ys = _rotate_to_complex(xs)
-    if len(p) == 0:
-        return [Quaternion() for _ in xs]
+    if len(p) == 0 or ys.size == 0:
+        return [Quaternion() for _ in ys]
     cells = decompose_to_real(p).reshape(16, -1)
     live = np.flatnonzero(np.any(cells != 0.0, axis=1))
     # a value that overflows raises NonFiniteValue in _lift
@@ -164,9 +168,13 @@ def _rotate_to_complex(xs):
     y = u x u^-1 of the quaternion points `xs`, for the unit conjugators u.
 
     x = Re y + Im y * w: w is the unit pure quaternion along Im x, or i
-    where x already lies in the span of 1 and i.  Raises NonFiniteValue
-    for a point that is not finite, or whose imaginary norm overflows.
+    where x already lies in the span of 1 and i.  `xs` is an iterable of
+    Quaternion or an (n, 4) array, whose rows are rotated as Quaternion
+    too.  Raises NonFiniteValue for a point that is not finite, or whose
+    imaginary norm overflows.
     """
+    # one rotation_to_complex call per point: qpbench/layers.py counts them
+    xs = to_quaternions(rows(xs, "point")) if isinstance(xs, np.ndarray) else list(xs)
     us = np.empty((len(xs), 4))
     ys = np.empty(len(xs), dtype=np.complex128)
     for l, x in enumerate(xs):
@@ -198,12 +206,13 @@ def multieval_naive(p, xs) -> list:
     """Evaluation oracle: the literal sums of a_l x^l b_l at every point.
 
     Powers are summed directly, independently of the rotation path, and
-    vectorized over the points only.  Raises NonFiniteValue for a point
-    that is not finite or a value that overflows, as `multieval_fast` does.
+    vectorized over the points only.  Takes the points `multieval_fast`
+    takes, and raises NonFiniteValue for a point that is not finite or a
+    value that overflows, as it does.
     """
     if isinstance(p, OneSidedPoly):
         p = TwoSidedPoly.from_one_sided(p)
-    return to_quaternions(_power_sums(p, finite(from_quaternions(xs), "point")))
+    return to_quaternions(_power_sums(p, rows(xs, "point")))
 
 
 def _power_sums(p: TwoSidedPoly, pts: np.ndarray) -> np.ndarray:
@@ -246,8 +255,7 @@ def interpolation_feasible(xs) -> Feasibility:
     equivalent partners.  Raises NonFiniteValue for a node that is not
     finite, ValueError for an array not of shape (n, 4).
     """
-    pts = component_rows(xs) if isinstance(xs, np.ndarray) else from_quaternions(xs)
-    pts = finite(pts, "node")
+    pts = rows(xs, "node")
     with np.errstate(over="ignore", invalid="ignore"):
         re = pts[:, 0]
         # hypot throughout: no squared component over- or underflows
@@ -273,29 +281,18 @@ def interpolation_feasible(xs) -> Feasibility:
     return Feasibility(True)
 
 
-def _node_powers(xs):
-    """(n, 4) array of the nodes and their `_vandermonde` power table.
-
-    Raises NonFiniteValue for a node that is not finite or whose powers
-    overflow.
-    """
-    nodes = finite(from_quaternions(xs), "node")
-    return nodes, finite(_vandermonde(nodes), "a power of node")
-
-
 def _vandermonde(pts: np.ndarray) -> np.ndarray:
     """(n, n, 4) power table of the (n, 4) nodes, row l holding 1, x_l, x_l^2, ...
 
-    Powers that overflow come out inf or nan, silently; `_node_powers`
-    checks.
+    Raises NonFiniteValue when a power overflows.
     """
     n = pts.shape[0]
     v = np.zeros((n, n, 4))
-    v[:, 0, 0] = 1.0
+    v[:, :1, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n):
             v[:, m] = qmul(v[:, m - 1], pts)
-    return v
+    return finite(v, "a power of node")
 
 
 def _complex_rep(v: np.ndarray) -> np.ndarray:
@@ -318,10 +315,7 @@ def double_determinant(xs) -> float:
     i.e. when interpolation through the points fails.  Raises
     NonFiniteValue for a node that is not finite or whose powers overflow.
     """
-    xs = list(xs)
-    if not xs:
-        return 1.0
-    return float(abs(np.linalg.det(_complex_rep(_node_powers(xs)[1]))))
+    return float(abs(np.linalg.det(_complex_rep(_vandermonde(rows(xs, "node"))))))
 
 
 def vandermonde_invertible(xs) -> bool:
@@ -335,10 +329,7 @@ def vandermonde_invertible(xs) -> bool:
     node criterion in `interpolation_feasible` has no such limit.  Raises
     NonFiniteValue for a node that is not finite or whose powers overflow.
     """
-    xs = list(xs)
-    if not xs:
-        return True
-    rep = _complex_rep(_node_powers(xs)[1])
+    rep = _complex_rep(_vandermonde(rows(xs, "node")))
     sign, logdet = np.linalg.slogdet(rep)
     if sign == 0.0 or not np.isfinite(logdet):
         return False
@@ -358,28 +349,38 @@ def interpolate(xs, ys) -> OneSidedPoly:
     become r W = (z1(y_0), z2(y_0), z1(y_1), ...) for r = (z1(a_0), z2(a_0),
     z1(a_1), ...), where block (m, l) of the 2n x 2n matrix W is chi(x_l^m).
     This is the real 4n x 4n system written over C, singular exactly when
-    that one is; W^T is factored once with partial pivoting.  Raises
-    NonFiniteValue for a node or value that is not finite or a node whose
-    powers overflow, InfeasiblePoints when the node criterion fails and
-    NumericallySingular when the factorization degenerates anyway or the
-    residual max_l |p(x_l) - y_l| of the computed solution exceeds
-    TOL_RESIDUAL times max_l |y_l|.
+    that one is; W^T is factored once with partial pivoting.
+
+    The system is solved for b_m = a_m 2^(em) on the nodes x_l 2^-e, where
+    2^e is the power of two nearest the largest node norm: the scaling is
+    exact, and the scaled powers neither grow nor shrink geometrically, so
+    the verdicts do not depend on the scale of the nodes.
+    Nodes and values are iterables of Quaternion or (n, 4) component
+    arrays.  Raises NonFiniteValue for a node or value that is not finite
+    or a node whose powers overflow, InfeasiblePoints when the node
+    criterion fails and NumericallySingular when the factorization
+    degenerates anyway or the residual max_l |p(x_l) - y_l| of the
+    computed solution, on the unscaled powers, exceeds TOL_RESIDUAL times
+    max_l |y_l|.
     """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
+    nodes, values = rows(xs, "node"), rows(ys, "value")
+    if len(nodes) != len(values):
         raise ValueError("point and value counts differ")
-    n = len(xs)
+    n = len(nodes)
     if n == 0:
         return OneSidedPoly()
-    nodes, powers = _node_powers(xs)
-    values = finite(from_quaternions(ys), "value")
+    powers = _vandermonde(nodes)
     feas = interpolation_feasible(nodes)
     if not feas:
         raise InfeasiblePoints(feas.reason)
     import scipy.linalg  # deferred: it costs every CLI start about 0.3 s
 
-    lu, piv = scipy.linalg.lu_factor(_complex_rep(powers.transpose(1, 0, 2)).T)
+    # 2^e, the power of two nearest the largest node norm, divides exactly
+    mant, e = np.frexp(np.max(np.hypot(np.hypot(nodes[:, 0], nodes[:, 1]),
+                                       np.hypot(nodes[:, 2], nodes[:, 3]))))
+    e = int(e) - int(mant < 0.5 ** 0.5)
+    scaled = powers if e == 0 else _vandermonde(np.ldexp(nodes, -e))
+    lu, piv = scipy.linalg.lu_factor(_complex_rep(scaled.transpose(1, 0, 2)).T)
     diag = np.abs(np.diag(lu))
     if np.min(diag) <= TOL_PIVOT * max(np.max(diag), 1e-300):
         raise NumericallySingular(
@@ -387,7 +388,7 @@ def interpolate(xs, ys) -> OneSidedPoly:
             "below tolerance despite feasible nodes")
     # viewed as complex, each component row (a0, a1, a2, a3) is (z1, z2)
     r = scipy.linalg.lu_solve((lu, piv), values.view(np.complex128).ravel())
-    sol = r.view(np.float64).reshape(n, 4)
+    sol = np.ldexp(r.view(np.float64).reshape(n, 4), -e * np.arange(n)[:, None])
     resid = np.sum(qmul(sol, powers), axis=1) - values
     worst = float(np.max(np.linalg.norm(resid, axis=1)))
     scale = float(np.max(np.linalg.norm(values, axis=1)))
@@ -413,15 +414,13 @@ def nbody_multieval(poles, xs) -> list:
     exactly the near-interval region the kernel is about.  Raises
     PoleCollision for a point that reduces within TOL_POLE * max |a_l| of
     a pole, an exact hit included, and NonFiniteValue for a pole or point
-    that is not finite.
+    that is not finite.  Poles and points are read as `nbody_naive` reads
+    them.
     """
-    poles = finite(np.asarray(list(poles), dtype=float), "pole")
-    xs = list(xs)
-    if not xs:
-        return []
+    poles = _read_poles(poles)
     ws, ys = _rotate_to_complex(xs)
-    if poles.size == 0:
-        return [Quaternion() for _ in xs]
+    if poles.size == 0 or ys.size == 0:
+        return [Quaternion() for _ in ys]
     # the nearest real pole to y is a neighbour of Re(y) in sorted order
     srt = np.sort(poles)
     right = np.minimum(np.searchsorted(srt, ys.real), srt.size - 1)
@@ -442,11 +441,13 @@ def nbody_naive(poles, xs) -> list:
 
     Each difference is inverted as `Quaternion.inverse` does, scaled by the
     power of two of its largest |component|, so a point 1e-170 from a pole
-    gives a finite sum.  A point equal to a pole raises ZeroDivisionError,
-    a pole or point that is not finite NonFiniteValue.
+    gives a finite sum.  The poles are a 1-D real array or sequence, the
+    points an iterable of Quaternion or an (n, 4) component array.  A
+    point equal to a pole raises ZeroDivisionError, a pole or point that
+    is not finite NonFiniteValue, poles of another shape ValueError.
     """
-    poles = finite(np.asarray(poles, dtype=float).ravel(), "pole")
-    pts = finite(from_quaternions(xs), "point")
+    poles = _read_poles(poles)
+    pts = rows(xs, "point")
     acc = np.zeros_like(pts)
     for a in poles:
         diff = pts.copy()
@@ -459,6 +460,15 @@ def nbody_naive(poles, xs) -> list:
         diff[:, 1:] *= -1.0
         acc += np.ldexp(diff / np.sum(diff * diff, axis=1, keepdims=True), shift)
     return to_quaternions(acc)
+
+
+def _read_poles(poles) -> np.ndarray:
+    """The real poles as a 1-D float array: ValueError for another shape,
+    NonFiniteValue for a pole that is not finite."""
+    poles = np.asarray(poles, dtype=float)
+    if poles.ndim != 1:
+        raise ValueError(f"expected a 1-D array of real poles, got shape {poles.shape}")
+    return finite(poles, "pole")
 
 
 # -- random generators -----------------------------------------------------------

@@ -19,8 +19,10 @@ and of mappings and their real components (four axes).
 `finite` is the one finiteness check of the library: coefficient
 containers run it when they are built, so a container holds finite
 coefficients or is not made, and the evaluation paths run it on their
-points, nodes, values, poles and grid axes.  `component_rows` is the one
-shape check: every (n, 4) array of coefficients or nodes passes it.
+points, nodes, values, poles and grid axes.  `rows` is the one reader of
+quaternion arguments: coefficients, points, nodes and values come in as an
+iterable of Quaternion or as an (n, 4) component array, and leave it as a
+finite, C-ordered float (n, 4) array.
 """
 
 from __future__ import annotations
@@ -52,12 +54,18 @@ def finite(arr: np.ndarray, what: str | None = None) -> np.ndarray:
     raise NonFiniteValue(f"{what} {bad} is not finite")
 
 
-def component_rows(arr) -> np.ndarray:
-    """`arr` as an array when it is an (n, 4) component array; ValueError otherwise."""
-    arr = np.asarray(arr)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise ValueError(f"expected an (n, 4) component array, got shape {arr.shape}")
-    return arr
+def rows(qs, what: str | None = None) -> np.ndarray:
+    """Quaternion argument `qs` as a finite, C-ordered float (n, 4) array.
+
+    An ndarray must have shape (n, 4), ValueError otherwise, and is copied;
+    anything else is read as an iterable of Quaternion.  An entry that is
+    not finite raises NonFiniteValue, named by `what` as `finite` names it.
+    """
+    if isinstance(qs, np.ndarray):
+        if qs.ndim != 2 or qs.shape[1] != 4:
+            raise ValueError(f"expected an (n, 4) component array, got shape {qs.shape}")
+        return finite(np.array(qs, dtype=float, order="C"), what)
+    return finite(from_quaternions(qs), what)
 
 
 def qmul(a, b):

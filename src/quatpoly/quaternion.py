@@ -17,7 +17,8 @@ import re
 
 from .errors import ParseError, ZeroConjugator
 
-#: absolute tolerance for geometric predicates (point equality, equivalence)
+#: relative tolerance for geometric predicates (point equality, equivalence):
+#: they compare against TOL_EQ times the largest norm among their points
 TOL_EQ = 1e-9
 
 #: |v + i| below this switches the rotation formula to the fixed conjugator j
@@ -169,10 +170,11 @@ def auto_equivalent(a: Quaternion, b: Quaternion) -> bool:
     """Whether a and b are conjugate under some u . x . u^-1.
 
     Equivalent to: equal real parts and equal imaginary-part norms, both
-    checked within absolute tolerance `TOL_EQ`.
+    checked within `TOL_EQ` times the larger of |a| and |b|, so the verdict
+    does not change when both are scaled.
     """
-    return (abs(a.re - b.re) <= TOL_EQ
-            and abs(a.imag_norm() - b.imag_norm()) <= TOL_EQ)
+    tol = TOL_EQ * max(a.norm(), b.norm())
+    return abs(a.re - b.re) <= tol and abs(a.imag_norm() - b.imag_norm()) <= tol
 
 
 def apply_automorphism(u: Quaternion, x: Quaternion) -> Quaternion:

@@ -14,7 +14,7 @@ along contiguous rows, and the Hamilton product overwrites the first
 spectrum in its preallocated block (`qarray.qmul_into`).
 
 A sequence holds finite coefficients: `Rows`, the storage `QSeq` shares
-with `onesided.OneSidedPoly`, checks them when it is built (`qarray.finite`),
+with `onesided.OneSidedPoly`, checks them when it is built (`qarray.rows`),
 so an infinite or NaN input, and a sum or convolution whose coefficients
 overflow, raise NonFiniteValue.
 """
@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import complexpoly
-from .qarray import (component_rows, finite, from_quaternions, qmul, qmul_into, schoolbook,
-                     to_quaternions)
+from .qarray import from_quaternions  # noqa: F401  qpbench/layers.py binds this name
+from .qarray import qmul, qmul_into, rows, schoolbook, to_quaternions
 from .quaternion import Quaternion
 
 
@@ -33,19 +33,16 @@ class Rows:
     """Finite quaternion coefficients, row l holding coefficient l: the
     storage that sequences and one-sided polynomials share.
 
-    Stored as a C-ordered (n, 4) float component array `comps`, built from
-    an iterable of Quaternion or copied from an (n, 4) array.  Infinite or
-    NaN coefficients raise NonFiniteValue, an array not of shape (n, 4)
-    ValueError.
+    Stored as a C-ordered (n, 4) float component array `comps`, read by
+    `qarray.rows` from an iterable of Quaternion or an (n, 4) array.
+    Infinite or NaN coefficients raise NonFiniteValue, an array not of shape
+    (n, 4) ValueError.
     """
 
     __slots__ = ("comps",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, np.ndarray):
-            self.comps = finite(np.array(component_rows(coeffs), dtype=float, order="C"))
-        else:
-            self.comps = finite(from_quaternions(coeffs))
+        self.comps = rows(coeffs)
 
     @classmethod
     def from_components(cls, arr):

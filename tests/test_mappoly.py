@@ -514,6 +514,25 @@ def test_affine_non_finite_input_raises():
         p.affine_grid_multieval(huge, np.zeros(4), axes)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, axes: p.affine_substitute(np.arange(16.0).reshape(2, 8), np.zeros((2, 2))),
+    lambda p, axes: p.affine_substitute(np.eye(4), np.zeros(5)),
+    lambda p, axes: p.affine_substitute(np.eye(4).ravel(), np.zeros(4)),
+    lambda p, axes: p.affine_grid_multieval(np.eye(4), np.zeros((4, 1)), axes),
+    lambda p, axes: p.affine_grid_multieval(np.eye(4), np.zeros(4), axes[:3]),
+    lambda p, axes: p.grid_multieval([np.zeros((2, 2))] * 4),
+    lambda p, axes: p.grid_multieval([0.5, *axes[1:]]),
+    lambda p, axes: p.grid_multieval(axes + axes[:1]),
+], ids=["matrix and offset", "offset", "flat matrix", "grid offset", "three axes",
+        "2-D axes", "scalar axis", "five axes"])
+def test_affine_maps_and_grid_axes_are_never_reshaped(call):
+    # a (2, 8) matrix and a (2, 2) offset once substituted as a mapping,
+    # four (2, 2) axes once gave a (2, 2, 2, 2, 4) grid
+    axes = [np.linspace(-1.0, 1.0, 3) for _ in range(4)]
+    with pytest.raises(ValueError):
+        call(mp.QuadruplePoly.variable(), axes)
+
+
 def test_grid_multieval_long_axis_takes_the_multipoint_kernel(monkeypatch):
     # a long, thin table on a 64-point axis is evaluated by the complex
     # multipoint kernel, not by the Vandermonde product
@@ -661,6 +680,8 @@ CONTAINERS = {
     "QSeq": lambda v: sp.QSeq([Quaternion(0.5), Quaternion(v)]),
     "OneSidedPoly": lambda v: os_.OneSidedPoly.from_components([[v, 0, 0, 0]]),
     "TwoSidedPoly": lambda v: os_.TwoSidedPoly(left=[[v, 0, 0, 0]], right=[[1, 0, 0, 0]]),
+    "RootFormPoly": lambda v: os_.RootFormPoly(ONE, [Quaternion(0.5), Quaternion(0, v)]),
+    "RootFormPoly lead": lambda v: os_.RootFormPoly(Quaternion(v), [ONE]),
 }
 
 
@@ -673,14 +694,31 @@ def test_containers_reject_non_finite_coefficients(name):
             CONTAINERS[name](value)
 
 
-@pytest.mark.parametrize("make", [
-    sp.QSeq, os_.OneSidedPoly, sp.QSeq.from_components, os_.OneSidedPoly.from_components,
-    lambda arr: os_.TwoSidedPoly(left=arr, right=arr),
-], ids=["QSeq", "OneSidedPoly", "QSeq.from_components", "OneSidedPoly.from_components",
-        "TwoSidedPoly"])
+NODES = [Quaternion(0.5), Quaternion(0.1, 0.2)]
+
+MISSHAPEN_READERS = {
+    "QSeq": sp.QSeq,
+    "OneSidedPoly": os_.OneSidedPoly,
+    "QSeq.from_components": sp.QSeq.from_components,
+    "OneSidedPoly.from_components": os_.OneSidedPoly.from_components,
+    "TwoSidedPoly": lambda arr: os_.TwoSidedPoly(left=arr, right=arr),
+    "multieval_fast": lambda arr: os_.multieval_fast(os_.OneSidedPoly(NODES), arr),
+    "multieval_naive": lambda arr: os_.multieval_naive(os_.OneSidedPoly(NODES), arr),
+    "nbody_multieval": lambda arr: os_.nbody_multieval([0.0, 2.0], arr),
+    "nbody_naive": lambda arr: os_.nbody_naive([0.0, 2.0], arr),
+    "interpolate nodes": lambda arr: os_.interpolate(arr, NODES),
+    "interpolate values": lambda arr: os_.interpolate(NODES, arr),
+    "interpolation_feasible": os_.interpolation_feasible,
+    "double_determinant": os_.double_determinant,
+    "vandermonde_invertible": os_.vandermonde_invertible,
+}
+
+
+@pytest.mark.parametrize("make", MISSHAPEN_READERS.values(), ids=MISSHAPEN_READERS)
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 4, 1), (2, 6)])
 def test_containers_reject_misshapen_component_arrays(make, shape):
-    # an array of coefficients must be (n, 4); the CLI maps ValueError to exit 2
+    # an array of coefficients, points, nodes or values must be (n, 4), for
+    # every fast path as for its oracle; the CLI maps ValueError to exit 2
     with pytest.raises(ValueError, match=r"\(n, 4\)"):
         make(np.ones(shape))
 

@@ -4,6 +4,7 @@ import pytest
 from quatpoly import onesided as os_
 from quatpoly import seqpoly as sp
 from quatpoly.errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
+from quatpoly.qarray import to_quaternions
 from quatpoly.quaternion import (
     I, J, K, Quaternion, apply_automorphism, random_quaternion, rotation_to_complex,
 )
@@ -297,11 +298,25 @@ def test_interpolate_round_trip_on_circle_images():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+def test_interpolate_is_scale_free(scale):
+    # solved on the unscaled powers, these nodes raised NumericallySingular
+    # on pivot ratios near 1e-15 at 1e-3 and 1e3, and 1e-30 at 1e-6 and 1e6
+    rng = np.random.default_rng(41)
+    xs = scale * rng.uniform(-1.0, 1.0, (6, 4))
+    ys = rng.uniform(-1.0, 1.0, (6, 4))
+    got = os_.multieval_naive(os_.interpolate(xs, ys), xs)
+    assert np.max(np.abs([q.components() for q in got] - ys)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("xs, ys, culprit", [
     ([Quaternion(0), Quaternion(0.5, np.inf)], [ONE, ONE], "node 1"),
     ([Quaternion(0), Quaternion(1)], [ONE, Quaternion(np.nan)], "value 1"),
     # finite, but its square overflows
     ([Quaternion(0), Quaternion(1e200), Quaternion(1, 1)], [ONE] * 3, "node 1"),
+    # every node scaled by 1e70: the fifth powers overflow
+    (1e70 * np.random.default_rng(41).uniform(-1.0, 1.0, (6, 4)), np.ones((6, 4)), "node"),
 ])
 def test_interpolate_rejects_non_finite(xs, ys, culprit):
     with pytest.raises(NonFiniteValue, match=culprit):
@@ -505,8 +520,10 @@ def test_non_finite_points_raise(entry):
     # |Im x| of the last point is 2.1e308, past the double range
     for bad in (Quaternion(0.1, np.inf, 0, 0.2), Quaternion(np.nan, 0, 0, 0),
                 Quaternion(0.3, 0, 0, -np.inf), Quaternion(0, 1.5e308, 1.5e308, 0)):
-        with pytest.raises(NonFiniteValue):
-            call([Quaternion(0.3, 0.1, 0.2, 0), bad])
+        xs = [Quaternion(0.3, 0.1, 0.2, 0), bad]
+        for pts in (xs, np.array([x.components() for x in xs])):
+            with pytest.raises(NonFiniteValue):
+                call(pts)
 
 
 @pytest.mark.filterwarnings("error")
@@ -519,8 +536,10 @@ def test_oracles_reject_non_finite_points(oracle):
             "nbody_naive, no poles": lambda xs: os_.nbody_naive([], xs)}[oracle]
     for bad in (Quaternion(np.inf, 1), Quaternion(0.1, np.nan, 0, 0),
                 Quaternion(0.3, 0, 0, -np.inf)):
-        with pytest.raises(NonFiniteValue, match="point 1"):
-            call([Quaternion(0.3, 0.1, 0.2, 0), bad])
+        xs = [Quaternion(0.3, 0.1, 0.2, 0), bad]
+        for pts in (xs, np.array([x.components() for x in xs])):
+            with pytest.raises(NonFiniteValue, match="point 1"):
+                call(pts)
 
 
 @pytest.mark.filterwarnings("error")
@@ -539,10 +558,18 @@ def test_non_finite_values_raise():
     # and so does the two-sided evaluation at that one point
     with pytest.raises(NonFiniteValue, match="value at point 0"):
         os_.TwoSidedPoly.from_one_sided(p).two_sided_eval(xs[1])
+    # and so does the root-form evaluation
+    with pytest.raises(NonFiniteValue, match="value at point 0"):
+        os_.RootFormPoly(Quaternion(1e300), [Quaternion(-1e300)] * 3).root_form_eval(
+            Quaternion(1e300))
     # the N-body oracle refuses the poles the fast kernel refuses
     for kernel in (os_.nbody_multieval, os_.nbody_naive):
         for poles, culprit in (([0.0, np.nan], "pole 1"), ([np.inf], "pole 0")):
             with pytest.raises(NonFiniteValue, match=culprit):
+                kernel(poles, [Quaternion(0.3, 0.1, 0.2, 0)])
+        # poles are a 1-D sequence: a scalar or a 2-D array is not read as one
+        for poles in (0.5, [[0.0, 0.5]], np.zeros((2, 1))):
+            with pytest.raises(ValueError, match="1-D"):
                 kernel(poles, [Quaternion(0.3, 0.1, 0.2, 0)])
 
 
@@ -560,3 +587,36 @@ def test_fast_paths_and_oracles_agree_on_empty_inputs():
     assert len(os_.interpolate([], [])) == 0
     empty = sp.QSeq()
     assert sp.convolve_fast(empty, empty) == sp.convolve_naive(empty, empty) == empty
+
+
+def _two_sided(pts):
+    if isinstance(pts, np.ndarray):
+        return os_.TwoSidedPoly(left=pts, right=pts[::-1])
+    return os_.TwoSidedPoly(list(zip(pts, pts[::-1])))
+
+
+def _comps(qs):
+    return np.array([q.components() for q in qs])
+
+
+INTAKE = {
+    "QSeq": lambda pts: sp.QSeq(pts).comps,
+    "OneSidedPoly": lambda pts: os_.OneSidedPoly(pts).comps,
+    "TwoSidedPoly": lambda pts: np.stack([_two_sided(pts).left, _two_sided(pts).right]),
+    "multieval_fast": lambda pts: _comps(os_.multieval_fast(_two_sided(pts), pts)),
+    "multieval_naive": lambda pts: _comps(os_.multieval_naive(_two_sided(pts), pts)),
+    "nbody_multieval": lambda pts: _comps(os_.nbody_multieval([-1.5, 0.25, 1.5], pts)),
+    "nbody_naive": lambda pts: _comps(os_.nbody_naive([-1.5, 0.25, 1.5], pts)),
+    "interpolate": lambda pts: os_.interpolate(pts, pts[::-1]).comps,
+    "interpolation_feasible": lambda pts: bool(os_.interpolation_feasible(pts)),
+    "double_determinant": os_.double_determinant,
+    "vandermonde_invertible": os_.vandermonde_invertible,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTAKE))
+def test_quaternion_lists_and_component_arrays_read_alike(name):
+    # every argument of quaternions is an iterable of Quaternion or its
+    # (n, 4) component array, read the same way
+    arr = np.random.default_rng(42).uniform(-1.0, 1.0, (6, 4))
+    np.testing.assert_array_equal(INTAKE[name](to_quaternions(arr)), INTAKE[name](arr))

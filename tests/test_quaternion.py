@@ -110,6 +110,17 @@ def test_auto_equivalent_examples():
     assert auto_equivalent(Quaternion(2, 3), Quaternion(2, 0, 3))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-10, 1.0, 1e100, 1e200])
+def test_auto_equivalent_is_scale_free(scale):
+    # the invariants are compared against TOL_EQ times the larger norm: a
+    # relative difference of 1e-12 is equivalence at every scale, imaginary
+    # norms 1 and 3 never are
+    assert auto_equivalent(I * scale, J * scale)
+    assert auto_equivalent(Quaternion(2, 3) * scale, Quaternion(2, 0, 3 + 3e-12) * scale)
+    assert not auto_equivalent(Quaternion(0, 1) * scale, Quaternion(0, 0, 3) * scale)
+    assert not auto_equivalent(I * scale, (ONE + I) * scale)
+
+
 def test_auto_equivalent_is_equivalence_on_conjugates():
     rng = np.random.default_rng(5)
     for _ in range(50):
