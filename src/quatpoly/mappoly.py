@@ -26,9 +26,12 @@ blocks, in place.  A constant factor multiplies the other table directly.
 The oracle is the schoolbook product that sequences share,
 `qarray.schoolbook`.
 
-A grid's affine image x -> M.x + b is evaluated by substituting the map
-into the coefficient table, then evaluating the result axis by axis on
-the grid.  The substitution is a Taylor shift by b, one binomial matrix
+A grid is evaluated one axis at a time: each exponent axis of the table
+is contracted with the Vandermonde matrix of that axis' abscissae, read
+as float, or as complex when they are complex, so a real grid gives a
+real result and integer abscissae do not wrap.  A grid's affine image
+x -> M.x + b is evaluated by substituting the map into the coefficient
+table, then evaluating the result on the grid.  The substitution is a Taylor shift by b, one binomial matrix
 per axis, followed by M = P.L.U applied as an axis permutation and
 elementary shears x_i -> x_i + c x_j and axis scalings; it costs
 O(d (d+1)^4) for degree d and accepts every M, singular ones included.
@@ -51,7 +54,6 @@ import functools
 
 import numpy as np
 
-from . import complexpoly
 from .errors import EmptySampleSet, ParseError, SingularTransform
 from .qarray import finite, qmul, qmul_into, schoolbook
 from .quaternion import Quaternion
@@ -369,17 +371,22 @@ class QuadruplePoly(_TablePoly):
         return NotImplemented
 
     def evaluate(self, x: Quaternion) -> Quaternion:
-        pw = _power_vectors(self.extents, x.components())
-        return Quaternion(*np.einsum("abcdm,a,b,c,d->m", self.table, *pw))
+        """Value at x; NonFiniteValue when it overflows, as on a grid."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            pw = _power_vectors(self.extents, x.components())
+            value = np.einsum("abcdm,a,b,c,d->m", self.table, *pw)
+        return Quaternion(*finite(value[None], "value at point")[0])
 
     def evaluate_with_bound(self, x: Quaternion):
         """Value together with the accumulated magnitude sum_|c| |x|^e.
 
         The bound is the natural scale for deciding whether a computed
-        value is a rounding residue of zero.
+        value is a rounding residue of zero.  A value that overflows
+        raises NonFiniteValue.
         """
-        pw = _power_vectors(self.extents, [abs(v) for v in x.components()])
-        bound = float(np.einsum("abcdm,a,b,c,d->", np.abs(self.table), *pw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pw = _power_vectors(self.extents, [abs(v) for v in x.components()])
+            bound = float(np.einsum("abcdm,a,b,c,d->", np.abs(self.table), *pw))
         return self.evaluate(x), bound
 
     # -- grids ---------------------------------------------------------------
@@ -387,25 +394,24 @@ class QuadruplePoly(_TablePoly):
     def grid_multieval(self, axes):
         """Values on the product grid axes[0] x ... x axes[3].
 
-        The table is contracted one axis at a time against the abscissa
-        values (fast multipoint evaluation once both the degree and the
-        point count warrant it).  Returns an array of shape
-        (len A0, ..., len A3, 4), complex if any abscissa is complex.
-        Axes that are not four 1-D sequences raise ValueError, a non-finite
-        abscissa or value NonFiniteValue.
+        The table is contracted with the Vandermonde matrix of one axis at
+        a time, the last axis first, so the result comes out C-ordered.
+        An axis is read as float, or as complex when it is complex, so
+        integer abscissae do not wrap.  Returns an array of shape
+        (len A0, ..., len A3, 4), float64 when every axis is real and
+        complex otherwise.  Axes that are not four 1-D sequences raise
+        ValueError, a non-finite abscissa or value NonFiniteValue.
         """
-        axes = [np.asarray(a) for a in axes]
+        axes = [np.asarray(a, dtype=complex if np.iscomplexobj(a) else float) for a in axes]
         if len(axes) != 4 or any(a.ndim != 1 for a in axes):
             raise ValueError("grid_multieval needs four 1-D abscissa sequences")
         for m, a in enumerate(axes):
             finite(a, f"grid axis {m} entry")
-        cplx = any(np.iscomplexobj(a) for a in axes)
-        out = self.table.astype(np.complex128)
+        out = self.table
         with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(4):
+            for m in range(3, -1, -1):
                 out = _eval_axis(out, m, axes[m])
-        finite(out, "overflowing grid value at axis-0 index")
-        return out if cplx else out.real
+        return finite(out, "overflowing grid value at axis-0 index")
 
     def affine_substitute(self, matrix, offset) -> "QuadruplePoly":
         """Composition with the affine coordinate map x -> matrix.x + offset.
@@ -505,15 +511,10 @@ def _affine_map(matrix, offset):
 
 
 def _eval_axis(work: np.ndarray, axis: int, pts: np.ndarray) -> np.ndarray:
-    moved = np.moveaxis(work, axis, 0)
-    lead = moved.shape[0]
-    flat = moved.reshape(lead, -1)
-    if len(pts) < complexpoly.DEFAULT_CROSSOVER or lead - 1 < complexpoly.DEFAULT_CROSSOVER:
-        vander = np.asarray(pts, dtype=np.complex128)[:, None] ** np.arange(lead)
-        vals = vander @ flat
-    else:
-        vals = complexpoly._multieval_rows(flat.T, pts).T
-    return np.moveaxis(vals.reshape((len(pts),) + moved.shape[1:]), 0, axis)
+    """`work` with its exponent axis `axis` replaced by the values at the
+    abscissae `pts`: one contraction with their Vandermonde matrix."""
+    vander = np.vander(pts, work.shape[axis], increasing=True)
+    return np.moveaxis(np.tensordot(vander, work, axes=(1, axis)), 0, axis)
 
 
 def _subst_table(tables: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> np.ndarray:

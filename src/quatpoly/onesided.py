@@ -242,6 +242,12 @@ class Feasibility:
         return self.feasible
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 4) array, by hypot: no squared
+    component over- or underflows."""
+    return np.hypot(np.hypot(rows[:, 0], rows[:, 1]), np.hypot(rows[:, 2], rows[:, 3]))
+
+
 def interpolation_feasible(xs) -> Feasibility:
     """Pairwise distinct and no three points mutually conjugate-equivalent.
 
@@ -265,8 +271,7 @@ def interpolation_feasible(xs) -> Feasibility:
                  & (np.abs(im[:, None] - im) <= tol))
         np.fill_diagonal(equiv, False)
         first, second = np.nonzero(np.triu(equiv))
-        d = (pts[first] - pts[second]).T
-        close = np.flatnonzero(np.hypot(np.hypot(d[0], d[1]), np.hypot(d[2], d[3])) <= tol)
+        close = np.flatnonzero(_norms(pts[first] - pts[second]) <= tol)
     if close.size:
         a, b = first[close[0]], second[close[0]]
         return Feasibility(False, f"points {a} and {b} coincide")
@@ -337,7 +342,7 @@ def vandermonde_invertible(xs) -> bool:
     if np.any(norms == 0.0):
         return False
     log_hadamard = float(np.sum(np.log(norms)))
-    return logdet > np.log(TOL_DET_REL) + log_hadamard
+    return bool(logdet > np.log(TOL_DET_REL) + log_hadamard)
 
 
 def interpolate(xs, ys) -> OneSidedPoly:
@@ -376,8 +381,7 @@ def interpolate(xs, ys) -> OneSidedPoly:
     import scipy.linalg  # deferred: it costs every CLI start about 0.3 s
 
     # 2^e, the power of two nearest the largest node norm, divides exactly
-    mant, e = np.frexp(np.max(np.hypot(np.hypot(nodes[:, 0], nodes[:, 1]),
-                                       np.hypot(nodes[:, 2], nodes[:, 3]))))
+    mant, e = np.frexp(np.max(_norms(nodes)))
     e = int(e) - int(mant < 0.5 ** 0.5)
     scaled = powers if e == 0 else _vandermonde(np.ldexp(nodes, -e))
     lu, piv = scipy.linalg.lu_factor(_complex_rep(scaled.transpose(1, 0, 2)).T)
@@ -390,8 +394,8 @@ def interpolate(xs, ys) -> OneSidedPoly:
     r = scipy.linalg.lu_solve((lu, piv), values.view(np.complex128).ravel())
     sol = np.ldexp(r.view(np.float64).reshape(n, 4), -e * np.arange(n)[:, None])
     resid = np.sum(qmul(sol, powers), axis=1) - values
-    worst = float(np.max(np.linalg.norm(resid, axis=1)))
-    scale = float(np.max(np.linalg.norm(values, axis=1)))
+    worst = float(np.max(_norms(resid)))
+    scale = float(np.max(_norms(values)))
     if not worst <= TOL_RESIDUAL * scale:
         raise NumericallySingular(
             f"interpolation residual {worst:.2e} exceeds {TOL_RESIDUAL:g} "

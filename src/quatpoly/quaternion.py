@@ -146,7 +146,8 @@ class Quaternion:
         return math.hypot(self.im_i, self.im_j, self.im_k)
 
     def is_zero(self):
-        return self.norm_sq() == 0.0
+        # the components, not norm_sq, which underflows below about 1e-154
+        return not any(self.components())
 
 
 def _coerce(value):
@@ -178,11 +179,11 @@ def auto_equivalent(a: Quaternion, b: Quaternion) -> bool:
 
 
 def apply_automorphism(u: Quaternion, x: Quaternion) -> Quaternion:
-    """Conjugation u . x . u^-1; an algebra automorphism fixing the reals."""
-    n2 = u.norm_sq()
-    if n2 == 0.0:
+    """Conjugation u . x . u^-1; an algebra automorphism fixing the reals.
+    `inverse` scales, so every nonzero u in the double range conjugates."""
+    if u.is_zero():
         raise ZeroConjugator("conjugation by the zero quaternion")
-    return u * x * u.conj() / n2
+    return u * x * u.inverse()
 
 
 def rotation_to_complex(x: Quaternion):
@@ -206,9 +207,9 @@ def rotation_to_complex(x: Quaternion):
     return u, Quaternion(x.re, b)
 
 
-def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
-    """Quaternion with components drawn uniformly from [-scale, scale]."""
-    c = rng.uniform(-scale, scale, size=4)
+def random_quaternion(rng) -> Quaternion:
+    """Quaternion with components drawn uniformly from [-1, 1]."""
+    c = rng.uniform(-1.0, 1.0, size=4)
     return Quaternion(c[0], c[1], c[2], c[3])
 
 

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quatpoly import complexpoly
 from quatpoly import mappoly as mp
 from quatpoly import onesided as os_
 from quatpoly import seqpoly as sp
@@ -38,7 +37,7 @@ def test_constant_and_variable():
     a = random_quaternion(rng)
     const = mp.QuadruplePoly.constant(a)
     for _ in range(20):
-        x = random_quaternion(rng, 2.0)
+        x = 2.0 * random_quaternion(rng)
         assert (var.evaluate(x) - x).norm() <= 1e-14 * max(1.0, x.norm())
         assert (const.evaluate(x) - a).norm() <= 1e-14
     assert var.degree == 1
@@ -354,13 +353,22 @@ def test_grid_multieval_examples():
 
 def test_grid_multieval_matches_pointwise():
     rng = np.random.default_rng(8)
-    p = mp.random_quadruple(3, rng)
-    axes = [rng.uniform(-1, 1, 3) for _ in range(4)]
-    grid = p.grid_multieval(axes)
-    for idx in np.ndindex(3, 3, 3, 3):
-        x = Quaternion(*(axes[m][idx[m]] for m in range(4)))
-        want = np.array(p.evaluate(x).components())
-        assert np.max(np.abs(grid[idx] - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+    random_case = mp.random_quadruple(3, rng), [rng.uniform(-1, 1, 3) for _ in range(4)]
+    # integer abscissae are read as float: an int64 Vandermonde matrix
+    # wraps at 3^40, inside these 45 coefficients
+    integer_case = (mp.QuadruplePoly(rng.uniform(-1, 1, (45, 2, 3, 1, 4))),
+                    [np.array([3, -2, 1]), np.array([2]), [0.5, -1.0], np.array([-1, 0])])
+    for p, axes in (random_case, integer_case):
+        grid = p.grid_multieval(axes)
+        # real axes give a real, C-ordered grid
+        assert grid.dtype == np.float64 and grid.flags.c_contiguous
+        assert grid.shape == tuple(len(a) for a in axes) + (4,)
+        for idx in np.ndindex(grid.shape[:4]):
+            x = Quaternion(*(axes[m][idx[m]] for m in range(4)))
+            want, bound = p.evaluate_with_bound(x)
+            err = np.max(np.abs(grid[idx] - want.components()))
+            assert err <= 1e-8 * max(1.0, max(map(abs, want.components())))
+            assert err <= 1e-12 * bound
 
 
 def test_affine_substitute():
@@ -533,18 +541,12 @@ def test_affine_maps_and_grid_axes_are_never_reshaped(call):
         call(mp.QuadruplePoly.variable(), axes)
 
 
-def test_grid_multieval_long_axis_takes_the_multipoint_kernel(monkeypatch):
-    # a long, thin table on a 64-point axis is evaluated by the complex
-    # multipoint kernel, not by the Vandermonde product
-    calls = []
-    kernel = complexpoly._multieval_rows
-    monkeypatch.setattr(complexpoly, "_multieval_rows",
-                        lambda rows, pts: calls.append(len(pts)) or kernel(rows, pts))
+def test_grid_multieval_long_axis_matches_pointwise():
+    # a long, thin table on a 64-point axis: 300 powers per abscissa
     rng = np.random.default_rng(31)
     p = mp.QuadruplePoly(rng.uniform(-1, 1, (300, 1, 1, 1, 4)))
     axis = rng.uniform(-1, 1, 64)
     grid = p.grid_multieval([axis, [0.5], [-0.25], [2.0]])
-    assert calls == [64]
     assert grid.shape == (64, 1, 1, 1, 4)
     for l, x0 in enumerate(axis):
         want, bound = p.evaluate_with_bound(Quaternion(x0, 0.5, -0.25, 2.0))
@@ -558,6 +560,12 @@ def test_grid_multieval_non_finite_raises():
         p.grid_multieval([[np.inf], [0.5], [0.1], [0.2]])
     with pytest.raises(NonFiniteValue, match="overflow"):
         p.grid_multieval([[1e200], [0.5], [0.1], [0.2]])
+    # the pointwise evaluations refuse the same point
+    x = Quaternion(1e200, 0.5, 0.1, 0.2)
+    with pytest.raises(NonFiniteValue, match="value at point"):
+        p.evaluate(x)
+    with pytest.raises(NonFiniteValue, match="value at point"):
+        p.evaluate_with_bound(x)
 
 
 def test_random_zero_witness():
@@ -621,16 +629,19 @@ def test_from_text_rejects_non_finite_coefficients():
 def test_grid_multieval_complex_abscissae():
     rng = np.random.default_rng(14)
     p = mp.random_quadruple(2, rng)
-    axes = [rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2) for _ in range(4)]
-    grid = p.grid_multieval(axes)
-    assert np.iscomplexobj(grid)
-    # formal substitution oracle on one entry
-    idx = (1, 0, 1, 1)
-    coords = [axes[m][idx[m]] for m in range(4)]
-    for m, comp in enumerate(p.comps):
-        pw = [np.asarray(coords[ax]) ** np.arange(comp.extents[ax]) for ax in range(4)]
-        want = np.einsum("abcd,a,b,c,d->", comp.table.astype(complex), *pw)
-        assert abs(grid[idx][m] - want) <= 1e-10 * max(1.0, abs(want))
+    all_complex = [rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2) for _ in range(4)]
+    # one complex axis among real ones makes the whole grid complex
+    mixed = [a if m == 1 else a.real for m, a in enumerate(all_complex)]
+    for axes in (all_complex, mixed):
+        grid = p.grid_multieval(axes)
+        assert np.iscomplexobj(grid)
+        # formal substitution oracle on one entry
+        idx = (1, 0, 1, 1)
+        coords = [axes[m][idx[m]] for m in range(4)]
+        for m, comp in enumerate(p.comps):
+            pw = [np.asarray(coords[ax]) ** np.arange(comp.extents[ax]) for ax in range(4)]
+            want = np.einsum("abcd,a,b,c,d->", comp.table.astype(complex), *pw)
+            assert abs(grid[idx][m] - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_affine_substitute_high_degree():

@@ -35,8 +35,8 @@ def test_mul_examples():
 def test_norm_multiplicative_on_random_pairs():
     rng = np.random.default_rng(1)
     for _ in range(10_000):
-        a = random_quaternion(rng, 2.0)
-        b = random_quaternion(rng, 2.0)
+        a = 2.0 * random_quaternion(rng)
+        b = 2.0 * random_quaternion(rng)
         lhs = (a * b).norm()
         rhs = a.norm() * b.norm()
         assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1e-300)
@@ -45,7 +45,7 @@ def test_norm_multiplicative_on_random_pairs():
 def test_associativity():
     rng = np.random.default_rng(2)
     for _ in range(2000):
-        a, b, c = (random_quaternion(rng, 2.0) for _ in range(3))
+        a, b, c = (2.0 * random_quaternion(rng) for _ in range(3))
         lhs = (a * b) * c
         rhs = a * (b * c)
         assert (lhs - rhs).norm() <= 1e-12 * max(lhs.norm(), 1e-300)
@@ -63,7 +63,7 @@ def test_conj_norm_inverse_examples():
 def test_inverse_law():
     rng = np.random.default_rng(3)
     for _ in range(500):
-        a = random_quaternion(rng, 3.0)
+        a = 3.0 * random_quaternion(rng)
         if a.norm() < 1e-6:
             continue
         assert (a * a.inverse() - ONE).norm() <= 1e-12
@@ -76,7 +76,7 @@ def test_inverse_and_imag_norm_are_scale_free(scale):
     # quaternion is the inverse of the unit one scaled back
     rng = np.random.default_rng(19)
     for _ in range(50):
-        a = random_quaternion(rng, 3.0)
+        a = 3.0 * random_quaternion(rng)
         want = a.inverse() * (1.0 / scale)
         got = (a * scale).inverse()
         assert (got - want).norm() <= 1e-15 * want.norm()
@@ -100,7 +100,7 @@ def test_reals_commute_exactly():
     rng = np.random.default_rng(4)
     for _ in range(200):
         alpha = Quaternion(rng.uniform(-5, 5))
-        x = random_quaternion(rng, 5.0)
+        x = 5.0 * random_quaternion(rng)
         assert (alpha * x - x * alpha) == Quaternion()
 
 
@@ -145,8 +145,8 @@ def test_apply_automorphism_laws():
         u = random_quaternion(rng)
         if u.norm() < 1e-3:
             continue
-        x = random_quaternion(rng, 2.0)
-        y = random_quaternion(rng, 2.0)
+        x = 2.0 * random_quaternion(rng)
+        y = 2.0 * random_quaternion(rng)
         fx, fy = apply_automorphism(u, x), apply_automorphism(u, y)
         fxy = apply_automorphism(u, x * y)
         fsum = apply_automorphism(u, x + y)
@@ -154,8 +154,17 @@ def test_apply_automorphism_laws():
         assert (fsum - (fx + fy)).norm() <= 1e-12 * max(1.0, fsum.norm())
         alpha = Quaternion(rng.uniform(-3, 3))
         assert (apply_automorphism(u, alpha) - alpha).norm() <= 1e-12 * max(1.0, alpha.norm())
+        # norm_sq underflowed at 1e-170, so u read as zero, and overflowed
+        # at 1e200, so u x conj(u) / |u|^2 was NaN
+        for scale in (1e-200, 1e-170, 1e-100, 1e100, 1e200):
+            assert not (scale * u).is_zero()
+            got = apply_automorphism(scale * u, x)
+            assert auto_equivalent(got, x)
+            assert (got - fx).norm() <= 1e-12 * x.norm()
     assert apply_automorphism(ONE, I) == I
     assert (apply_automorphism(J, -I) - I).norm() <= 1e-15
+    # the half turn about i + j takes i to j, at any scale of the axis
+    assert (apply_automorphism(Quaternion(0, 1e-170, 1e-170, 0), I) - J).norm() <= 1e-15
     with pytest.raises(ZeroConjugator):
         apply_automorphism(Quaternion(), I)
 
@@ -174,7 +183,7 @@ def test_rotation_examples():
 
 def test_rotation_randoms_and_degenerate_directions():
     rng = np.random.default_rng(7)
-    cases = [random_quaternion(rng, 2.0) for _ in range(300)]
+    cases = [2.0 * random_quaternion(rng) for _ in range(300)]
     cases += [Quaternion(0.5, -0.8, 0, 0),              # already complex, negative i
               Quaternion(0.1, -1.0, 1e-13, 0),          # near the -i direction
               Quaternion(0.1, -1.0, 0, 1e-13),
@@ -196,7 +205,7 @@ def test_parse_and_format_round_trips():
         assert q == again
     rng = np.random.default_rng(8)
     for _ in range(200):
-        q = random_quaternion(rng, 10.0)
+        q = 10.0 * random_quaternion(rng)
         assert parse_quaternion(format_quaternion(q)) == q
         assert parse_quaternion(format_quaternion(q, digits=17)) == q
 
