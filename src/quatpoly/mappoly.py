@@ -55,7 +55,7 @@ import functools
 import numpy as np
 
 from .errors import EmptySampleSet, ParseError, SingularTransform
-from .qarray import finite, qmul, qmul_into, schoolbook
+from .qarray import finite, qmul, qmul_into, reals, schoolbook
 from .quaternion import Quaternion
 
 #: entries below this fraction of the largest one do not count for degrees
@@ -381,13 +381,14 @@ class QuadruplePoly(_TablePoly):
         """Value together with the accumulated magnitude sum_|c| |x|^e.
 
         The bound is the natural scale for deciding whether a computed
-        value is a rounding residue of zero.  A value that overflows
-        raises NonFiniteValue.
+        value is a rounding residue of zero.  A value or a bound that
+        overflows raises NonFiniteValue, as `expr.eval_with_bound` does.
         """
+        value = self.evaluate(x)
         with np.errstate(over="ignore", invalid="ignore"):
             pw = _power_vectors(self.extents, [abs(v) for v in x.components()])
-            bound = float(np.einsum("abcdm,a,b,c,d->", np.abs(self.table), *pw))
-        return self.evaluate(x), bound
+            bound = np.einsum("abcdm,a,b,c,d->", np.abs(self.table), *pw)
+        return value, float(finite(bound[None], "bound at point")[0])
 
     # -- grids ---------------------------------------------------------------
 
@@ -598,9 +599,11 @@ def random_zero_witness(p: QuadruplePoly, sample_set, rng):
     """One uniformly random point of sample_set^4 together with p's value.
 
     For nonzero p and a sample set of at least twice its degree, the value
-    is nonzero with probability above one half.
+    is nonzero with probability above one half.  The sample set is a 1-D
+    real sequence: another shape raises ValueError, a sample that is not
+    finite NonFiniteValue, an empty set EmptySampleSet.
     """
-    a = np.asarray(sample_set, dtype=float).ravel()
+    a = reals(sample_set, "sample")
     if a.size == 0:
         raise EmptySampleSet("zero witness needs a nonempty sample set")
     idx = rng.integers(0, a.size, size=4)

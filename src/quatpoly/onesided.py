@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import complexpoly
-from .errors import InfeasiblePoints, NumericallySingular, PoleCollision
+from .errors import InfeasiblePoints, NonFiniteValue, NumericallySingular, PoleCollision
 from .qarray import from_quaternions  # noqa: F401  qpbench/layers.py binds this name
-from .qarray import finite, qmul, rows, to_quaternions
+from .qarray import finite, qmul, reals, rows, to_quaternions
 from .quaternion import TOL_EQ, Quaternion, rotation_to_complex
 from .seqpoly import Rows
 
@@ -66,29 +66,22 @@ class OneSidedPoly(Rows):
 
 
 class TwoSidedPoly:
-    """sum a_l X^l b_l; entry l of each side belongs to power l.  Built from
-    (a_l, b_l) pairs of Quaternion, or from `left` and `right` component
-    arrays.  Infinite or NaN coefficients raise NonFiniteValue, a side not
-    of shape (n, 4) ValueError."""
+    """sum a_l X^l b_l; entry l of `left` and of `right` belongs to power l.
+    Each side is an iterable of Quaternion or an (n, 4) component array,
+    read by `qarray.rows`.  Infinite or NaN coefficients raise
+    NonFiniteValue, a side not of shape (n, 4) ValueError, sides of
+    different lengths ValueError."""
 
     __slots__ = ("left", "right")
 
-    def __init__(self, pairs=(), *, left=None, right=None):
-        if left is not None or right is not None:
-            self.left = rows(np.asarray(left, dtype=float))
-            self.right = rows(np.asarray(right, dtype=float))
-        else:
-            pairs = list(pairs)
-            self.left = rows(q for q, _ in pairs)
-            self.right = rows(q for _, q in pairs)
+    def __init__(self, left=(), right=()):
+        self.left, self.right = rows(left), rows(right)
         if self.left.shape != self.right.shape:
             raise ValueError("left/right coefficient counts differ")
 
     @classmethod
     def from_one_sided(cls, p: OneSidedPoly) -> "TwoSidedPoly":
-        right = np.zeros_like(p.comps)
-        right[:, 0] = 1.0
-        return cls(left=p.comps, right=right)
+        return cls(p.comps, np.tile((1.0, 0.0, 0.0, 0.0), (len(p), 1)))
 
     def __len__(self):
         return self.left.shape[0]
@@ -105,15 +98,17 @@ class TwoSidedPoly:
 
 
 class RootFormPoly:
-    """a0 (X - a1) ... (X - an), evaluated literally left to right.
-    Infinite or NaN coefficients raise NonFiniteValue."""
+    """a0 (X - a1) ... (X - an), evaluated literally left to right.  The
+    roots are an iterable of Quaternion or an (n, 4) component array, read
+    by `qarray.rows` and kept as a list of Quaternion.  Infinite or NaN
+    coefficients raise NonFiniteValue."""
 
     __slots__ = ("lead", "roots")
 
     def __init__(self, lead: Quaternion, roots=()):
+        rows([lead])
         self.lead = lead
-        self.roots = list(roots)
-        rows([lead, *self.roots])
+        self.roots = to_quaternions(rows(roots))
 
     def root_form_eval(self, x: Quaternion) -> Quaternion:
         """Value at x; NonFiniteValue when it overflows."""
@@ -170,17 +165,22 @@ def _rotate_to_complex(xs):
     x = Re y + Im y * w: w is the unit pure quaternion along Im x, or i
     where x already lies in the span of 1 and i.  `xs` is an iterable of
     Quaternion or an (n, 4) array, whose rows are rotated as Quaternion
-    too.  Raises NonFiniteValue for a point that is not finite, or whose
+    too; an item that is neither raises TypeError, as in `qarray.rows`.
+    Raises NonFiniteValue for a point that is not finite, or whose
     imaginary norm overflows.
     """
     # one rotation_to_complex call per point: qpbench/layers.py counts them
     xs = to_quaternions(rows(xs, "point")) if isinstance(xs, np.ndarray) else list(xs)
     us = np.empty((len(xs), 4))
     ys = np.empty(len(xs), dtype=np.complex128)
-    for l, x in enumerate(xs):
-        u, y = rotation_to_complex(x)
-        us[l] = u.components()
-        ys[l] = complex(y.re, y.im_i)
+    try:
+        for l, x in enumerate(xs):
+            u, y = rotation_to_complex(x)
+            us[l] = u.components()
+            ys[l] = complex(y.re, y.im_i)
+    except AttributeError:
+        rows(xs)  # the reader's TypeError for an item that is not a Quaternion
+        raise
     finite(ys, "point")
     uinv = us * (1.0, -1.0, -1.0, -1.0)  # unit conjugators: inverse is the conjugate
     return qmul(qmul(uinv, (0.0, 1.0, 0.0, 0.0)), us), ys
@@ -318,29 +318,37 @@ def double_determinant(xs) -> float:
 
     Vanishes exactly when the quaternion Vandermonde matrix is singular,
     i.e. when interpolation through the points fails.  Raises
-    NonFiniteValue for a node that is not finite or whose powers overflow.
+    NonFiniteValue for a node that is not finite, or when its powers or
+    the determinant overflow.
     """
-    return float(abs(np.linalg.det(_complex_rep(_vandermonde(rows(xs, "node"))))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = abs(np.linalg.det(_complex_rep(_vandermonde(rows(xs, "node")))))
+    if not np.isfinite(det):
+        raise NonFiniteValue("the determinant of the power matrix overflows")
+    return float(det)
 
 
 def vandermonde_invertible(xs) -> bool:
     """Thresholded form of the determinant criterion.
 
     The cutoff is TOL_DET_REL times the Hadamard bound (product of row
-    norms), which makes the test scale-free; everything is compared in
-    logarithms so large systems cannot overflow the comparison.  Power
-    matrices condition themselves out of double precision as the point
-    count grows, so as a feasibility test this is a small-set tool; the
-    node criterion in `interpolation_feasible` has no such limit.  Raises
+    norms); everything is compared in logarithms, and the norms are taken
+    by hypot, so large systems cannot overflow the comparison.  The
+    verdict is not scale-free: the rows of the matrix hold each node's
+    powers, which scale unevenly, so scaling every node can flip it,
+    while `interpolation_feasible` does not change.  Power matrices
+    condition themselves out of double precision as the point count
+    grows, so as a feasibility test this is a small-set tool; the node
+    criterion in `interpolation_feasible` has no such limit.  Raises
     NonFiniteValue for a node that is not finite or whose powers overflow.
     """
     rep = _complex_rep(_vandermonde(rows(xs, "node")))
     sign, logdet = np.linalg.slogdet(rep)
     if sign == 0.0 or not np.isfinite(logdet):
         return False
-    norms = np.linalg.norm(rep, axis=1)
-    if np.any(norms == 0.0):
-        return False
+    # hypot, not squares: no row norm overflows before the log; no row
+    # vanishes, as the power x^0 = 1 puts a 1 in each
+    norms = np.hypot.reduce(np.abs(rep), axis=1)
     log_hadamard = float(np.sum(np.log(norms)))
     return bool(logdet > np.log(TOL_DET_REL) + log_hadamard)
 
@@ -421,7 +429,7 @@ def nbody_multieval(poles, xs) -> list:
     that is not finite.  Poles and points are read as `nbody_naive` reads
     them.
     """
-    poles = _read_poles(poles)
+    poles = reals(poles, "pole")
     ws, ys = _rotate_to_complex(xs)
     if poles.size == 0 or ys.size == 0:
         return [Quaternion() for _ in ys]
@@ -450,7 +458,7 @@ def nbody_naive(poles, xs) -> list:
     point equal to a pole raises ZeroDivisionError, a pole or point that
     is not finite NonFiniteValue, poles of another shape ValueError.
     """
-    poles = _read_poles(poles)
+    poles = reals(poles, "pole")
     pts = rows(xs, "point")
     acc = np.zeros_like(pts)
     for a in poles:
@@ -464,15 +472,6 @@ def nbody_naive(poles, xs) -> list:
         diff[:, 1:] *= -1.0
         acc += np.ldexp(diff / np.sum(diff * diff, axis=1, keepdims=True), shift)
     return to_quaternions(acc)
-
-
-def _read_poles(poles) -> np.ndarray:
-    """The real poles as a 1-D float array: ValueError for another shape,
-    NonFiniteValue for a pole that is not finite."""
-    poles = np.asarray(poles, dtype=float)
-    if poles.ndim != 1:
-        raise ValueError(f"expected a 1-D array of real poles, got shape {poles.shape}")
-    return finite(poles, "pole")
 
 
 # -- random generators -----------------------------------------------------------

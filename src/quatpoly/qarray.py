@@ -20,9 +20,11 @@ and of mappings and their real components (four axes).
 containers run it when they are built, so a container holds finite
 coefficients or is not made, and the evaluation paths run it on their
 points, nodes, values, poles and grid axes.  `rows` is the one reader of
-quaternion arguments: coefficients, points, nodes and values come in as an
-iterable of Quaternion or as an (n, 4) component array, and leave it as a
-finite, C-ordered float (n, 4) array.
+quaternion arguments: coefficients, roots, points, nodes and values come
+in as an iterable of Quaternion or as an (n, 4) component array, and leave
+it as a finite, C-ordered float (n, 4) array.  `reals` is the one reader
+of real sequences, the N-body poles and the zero-witness sample sets: a
+finite 1-D float array.
 """
 
 from __future__ import annotations
@@ -58,14 +60,30 @@ def rows(qs, what: str | None = None) -> np.ndarray:
     """Quaternion argument `qs` as a finite, C-ordered float (n, 4) array.
 
     An ndarray must have shape (n, 4), ValueError otherwise, and is copied;
-    anything else is read as an iterable of Quaternion.  An entry that is
-    not finite raises NonFiniteValue, named by `what` as `finite` names it.
+    anything else is read as an iterable of Quaternion, TypeError for an
+    item that is not one.  An entry that is not finite raises
+    NonFiniteValue, named by `what` as `finite` names it.
     """
     if isinstance(qs, np.ndarray):
         if qs.ndim != 2 or qs.shape[1] != 4:
             raise ValueError(f"expected an (n, 4) component array, got shape {qs.shape}")
         return finite(np.array(qs, dtype=float, order="C"), what)
-    return finite(from_quaternions(qs), what)
+    try:
+        return finite(from_quaternions(qs), what)
+    except AttributeError:
+        raise TypeError("expected an iterable of Quaternion or an (n, 4) array") from None
+
+
+def reals(values, what: str) -> np.ndarray:
+    """Real sequence `values` as a finite 1-D float array.
+
+    Any other shape raises ValueError, an entry that is not finite
+    NonFiniteValue, named by `what` as `finite` names it.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D array of {what}s, got shape {arr.shape}")
+    return finite(arr, what)
 
 
 def qmul(a, b):

@@ -264,6 +264,11 @@ def test_mul_fast_constant_factor_is_the_broadcast_product():
 def test_table_must_be_five_dimensional_with_four_components(shape):
     with pytest.raises(ValueError):
         mp.QuadruplePoly(np.zeros(shape))
+    # and a component table has four exponent axes, a quadruple four components
+    with pytest.raises(ValueError, match="4-dimensional"):
+        mp.RPoly4(np.zeros(shape[:3]))
+    with pytest.raises(ValueError, match="four RPoly4"):
+        mp.QuadruplePoly([mp.RPoly4(np.zeros(shape[:4]))] * 3)
 
 
 def test_degree_examples_and_additivity():
@@ -566,6 +571,14 @@ def test_grid_multieval_non_finite_raises():
         p.evaluate(x)
     with pytest.raises(NonFiniteValue, match="value at point"):
         p.evaluate_with_bound(x)
+    # a finite value whose magnitude bound overflows is refused too, as
+    # expr.eval_with_bound refuses it: 1e300 x0 - 1e300 x1 at x0 = x1 = 1e8
+    t = np.zeros((2, 2, 1, 1, 4))
+    t[1, 0, 0, 0, 0], t[0, 1, 0, 0, 0] = 1e300, -1e300
+    cancel = mp.QuadruplePoly(t)
+    assert cancel.evaluate(Quaternion(1e8, 1e8, 0, 0)).is_zero()
+    with pytest.raises(NonFiniteValue, match="bound at point"):
+        cancel.evaluate_with_bound(Quaternion(1e8, 1e8, 0, 0))
 
 
 def test_random_zero_witness():
@@ -578,6 +591,11 @@ def test_random_zero_witness():
     assert val == pt and all(c in (1.0, 2.0) for c in pt.components())
     with pytest.raises(EmptySampleSet):
         mp.random_zero_witness(var, [], rng)
+    # the samples are a 1-D real sequence, read as the N-body poles are
+    with pytest.raises(ValueError, match="1-D"):
+        mp.random_zero_witness(var, [[0.0, 1.0], [2.0, 3.0]], rng)
+    with pytest.raises(NonFiniteValue, match="sample 1 is not finite"):
+        mp.random_zero_witness(var, [0.0, np.nan], rng)
 
 
 def test_zero_witness_hits_nonzero_often():
@@ -607,6 +625,13 @@ def test_serialization_round_trip():
 def test_from_text_rejects_negative_header():
     with pytest.raises(ParseError):
         mp.QuadruplePoly.from_text("-1\n")
+    # as it rejects every other malformed text: empty, a header that is
+    # not an integer, a short row, a field that is not a number and an
+    # exponent beyond the header
+    for text in ("", " \n\n", "1.5\n", "1\n1 0 0 0 1 0 0\n", "1\n1 0 0 0 1 x 0 0\n",
+                 "1\n2 0 0 0 1 0 0 0\n"):
+        with pytest.raises(ParseError):
+            mp.QuadruplePoly.from_text(text)
 
 
 def test_from_text_sizes_tables_from_rows():
@@ -690,7 +715,7 @@ CONTAINERS = {
     "QuadruplePoly": lambda v: mp.QuadruplePoly(np.full((1, 2, 1, 1, 4), v)),
     "QSeq": lambda v: sp.QSeq([Quaternion(0.5), Quaternion(v)]),
     "OneSidedPoly": lambda v: os_.OneSidedPoly.from_components([[v, 0, 0, 0]]),
-    "TwoSidedPoly": lambda v: os_.TwoSidedPoly(left=[[v, 0, 0, 0]], right=[[1, 0, 0, 0]]),
+    "TwoSidedPoly": lambda v: os_.TwoSidedPoly(left=[Quaternion(v)], right=[ONE]),
     "RootFormPoly": lambda v: os_.RootFormPoly(ONE, [Quaternion(0.5), Quaternion(0, v)]),
     "RootFormPoly lead": lambda v: os_.RootFormPoly(Quaternion(v), [ONE]),
 }

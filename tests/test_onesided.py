@@ -57,8 +57,10 @@ def test_horner_matches_power_sums():
 
 
 def test_two_sided_and_root_form_examples():
-    ts = os_.TwoSidedPoly([(Quaternion(), Quaternion()), (I, J)])
+    ts = os_.TwoSidedPoly([Quaternion(), I], [Quaternion(), J])
     assert (ts.two_sided_eval(K) - ONE).norm() <= 1e-15
+    with pytest.raises(ValueError, match="counts differ"):
+        os_.TwoSidedPoly([Quaternion(), I], [J])
     rf = os_.RootFormPoly(ONE, [Quaternion(2, 1, 0, 0)])
     assert rf.root_form_eval(Quaternion(2, 1, 0, 0)).norm() == 0.0
     rng = np.random.default_rng(2)
@@ -82,7 +84,7 @@ def test_decompose_to_real():
     assert np.max(np.abs(cells)) == np.max(np.abs(cells[0, 0]))
     assert not np.any(cells[1:, :, :]) and not np.any(cells[0, 1:, :])
     # a single iXj term lands in exactly one cell
-    single = os_.TwoSidedPoly([(Quaternion(), Quaternion()), (I, J)])
+    single = os_.TwoSidedPoly([Quaternion(), I], [Quaternion(), J])
     cells = os_.decompose_to_real(single)
     assert cells[1, 2, 1] == 1.0
     cells[1, 2, 1] = 0.0
@@ -497,6 +499,7 @@ def test_multieval_naive_matches_literal_sums():
         assert got == want
 
 
+@pytest.mark.filterwarnings("error")
 def test_vandermonde_invertible_stays_finite_for_large_systems():
     # the raw determinant of a 48x48 power matrix overflows doubles; the
     # log-domain comparison must still return a clean verdict
@@ -511,6 +514,9 @@ def test_vandermonde_invertible_stays_finite_for_large_systems():
            apply_automorphism(Quaternion(-1, 1, 0, 2), xs6[0])]
     assert not os_.interpolation_feasible(bad)
     assert not os_.vandermonde_invertible(bad)
+    # row norms whose squares overflow still give a verdict, with no warning
+    assert os_.vandermonde_invertible(np.random.default_rng(1).uniform(-1, 1, (6, 4)) * 1e40) in (
+        True, False)
 
 
 @pytest.mark.parametrize("entry", ["multieval", "nbody", "multieval of zero", "nbody, no poles"])
@@ -566,6 +572,9 @@ def test_non_finite_values_raise():
     with pytest.raises(NonFiniteValue, match="value at point 0"):
         os_.RootFormPoly(Quaternion(1e300), [Quaternion(-1e300)] * 3).root_form_eval(
             Quaternion(1e300))
+    # a determinant beyond the double range is refused, not returned as inf
+    with pytest.raises(NonFiniteValue, match="determinant"):
+        os_.double_determinant(np.random.default_rng(1).uniform(-1, 1, (8, 4)) * 1e16)
     # the N-body oracle refuses the poles the fast kernel refuses
     for kernel in (os_.nbody_multieval, os_.nbody_naive):
         for poles, culprit in (([0.0, np.nan], "pole 1"), ([np.inf], "pole 0")):
@@ -594,9 +603,7 @@ def test_fast_paths_and_oracles_agree_on_empty_inputs():
 
 
 def _two_sided(pts):
-    if isinstance(pts, np.ndarray):
-        return os_.TwoSidedPoly(left=pts, right=pts[::-1])
-    return os_.TwoSidedPoly(list(zip(pts, pts[::-1])))
+    return os_.TwoSidedPoly(pts, pts[::-1])
 
 
 def _comps(qs):
@@ -607,6 +614,7 @@ INTAKE = {
     "QSeq": lambda pts: sp.QSeq(pts).comps,
     "OneSidedPoly": lambda pts: os_.OneSidedPoly(pts).comps,
     "TwoSidedPoly": lambda pts: np.stack([_two_sided(pts).left, _two_sided(pts).right]),
+    "RootFormPoly": lambda pts: _comps(os_.RootFormPoly(ONE, pts).roots),
     "multieval_fast": lambda pts: _comps(os_.multieval_fast(_two_sided(pts), pts)),
     "multieval_naive": lambda pts: _comps(os_.multieval_naive(_two_sided(pts), pts)),
     "nbody_multieval": lambda pts: _comps(os_.nbody_multieval([-1.5, 0.25, 1.5], pts)),
@@ -624,3 +632,7 @@ def test_quaternion_lists_and_component_arrays_read_alike(name):
     # (n, 4) component array, read the same way
     arr = np.random.default_rng(42).uniform(-1.0, 1.0, (6, 4))
     np.testing.assert_array_equal(INTAKE[name](to_quaternions(arr)), INTAKE[name](arr))
+    # an iterable of anything else is neither form: rows are not read as arrays
+    for items in ([[1.0, 0.0, 0.0, 0.0]], [np.zeros(4)], [1.0]):
+        with pytest.raises(TypeError, match=r"Quaternion or an \(n, 4\) array"):
+            INTAKE[name](items)
