@@ -31,10 +31,12 @@ is contracted with the Vandermonde matrix of that axis' abscissae, read
 as float, or as complex when they are complex, so a real grid gives a
 real result and integer abscissae do not wrap.  A grid's affine image
 x -> M.x + b is evaluated by substituting the map into the coefficient
-table, then evaluating the result on the grid.  The substitution is a Taylor shift by b, one binomial matrix
-per axis, followed by M = P.L.U applied as an axis permutation and
-elementary shears x_i -> x_i + c x_j and axis scalings; it costs
-O(d (d+1)^4) for degree d and accepts every M, singular ones included.
+table, then evaluating the result on the grid.  The substitution is a
+Taylor shift by b, one binomial matrix per axis, followed by the
+row-pivoted LU M[order] = L.U, factored here, applied as an axis
+transpose and elementary shears x_i -> x_i + c x_j and axis scalings; it
+costs O(d (d+1)^4) for degree d and accepts every M, singular ones
+included.
 
 Degrees are total degrees; the degree of a quadruple is the maximum over
 its components, which matches half the total degree of the component sum
@@ -523,19 +525,17 @@ def _subst_table(tables: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> 
     (d+1,)*4 + (4,), supported on the degree-d simplex.
 
     With T_A p = p(A.), T_AB = T_B o T_A.  So after the Taylor shift by the
-    offset, matrix = P.L.U is applied as T_U o T_L o T_P: an axis
-    permutation, L's shears column 0 first, then U's rows 3 down to 0,
-    each its shears followed by an axis scaling.  No pivot is divided by,
-    so singular matrices substitute as well as regular ones.
+    offset, matrix[order] = L.U is applied as T_U o T_L o T_order: an axis
+    transpose, L's shears column 0 first, then U's rows 3 down to 0, each
+    its shears followed by an axis scaling.  No pivot is divided by, so
+    singular matrices substitute as well as regular ones.
     """
     size = tables.shape[0]
     for m in range(4):
         tables = np.moveaxis(
             np.tensordot(_shift_matrix(offset[m], size), tables, axes=(1, m)), 0, m)
-    import scipy.linalg  # deferred: it costs every CLI start about 0.3 s
-
-    perm, lower, upper = scipy.linalg.lu(matrix)
-    tables = np.transpose(tables, tuple(perm.argmax(axis=0)) + (4,))
+    order, lower, upper = _lu(matrix)
+    tables = np.transpose(tables, tuple(order) + (4,))
     for j in range(3):
         for i in range(j + 1, 4):
             tables = _shear(tables, i, j, lower[i, j])
@@ -544,6 +544,34 @@ def _subst_table(tables: np.ndarray, matrix: np.ndarray, offset: np.ndarray) -> 
             tables = _shear(tables, i, j, upper[i, j])
         tables = tables * (upper[i, i] ** np.arange(size)).reshape((size,) + (1,) * (4 - i))
     return tables
+
+
+def _lu(matrix: np.ndarray):
+    """(order, lower, upper) with matrix[order] = lower @ upper, unit lower.
+
+    Partial pivoting in the left-looking order of OpenBLAS's getf2, so
+    that the factors round as scipy.linalg.lu's do there: column j first
+    takes the updates of the columns before it, its pivot is then the
+    first largest |entry| at or below the diagonal, and the multipliers
+    are scaled by the pivot's reciprocal (divided by a pivot too small to
+    invert).  A zero pivot leaves its column as it is, so a singular
+    matrix factors without a division by zero.
+    """
+    a = np.array(matrix, dtype=float, order="F")
+    n = a.shape[0]
+    order = np.arange(n)
+    for j in range(n):
+        for i in range(1, j):
+            a[i, j] -= a[i, :i] @ a[:i, j]
+        a[j:, j] -= a[j:, :j] @ a[:j, j]
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        a[[j, p]], order[[j, p]] = a[[p, j]], order[[p, j]]
+        pivot = a[j, j]
+        if abs(pivot) >= np.finfo(float).tiny:
+            a[j + 1:, j] *= 1.0 / pivot
+        elif pivot != 0.0:
+            a[j + 1:, j] /= pivot
+    return order, np.tril(a, -1) + np.eye(n), np.triu(a)
 
 
 def _shift_matrix(c: float, size: int) -> np.ndarray:

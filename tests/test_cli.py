@@ -301,6 +301,30 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_mapping_ring_paths_leave_scipy_linalg_unloaded():
+    # the affine substitution factors its 4x4 map with numpy; only
+    # interpolate's 2n x 2n LU loads scipy.linalg
+    code = """if True:
+        import sys
+        import numpy as np
+        from quatpoly import expr, mappoly
+        rng = np.random.default_rng(3)
+        p = mappoly.random_quadruple(3, rng)
+        t, off = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, 4)
+        p.affine_substitute(t, off)
+        p.affine_grid_multieval(t, off, [rng.uniform(-1, 1, 3) for _ in range(4)])
+        p.mul_fast(p)
+        e = expr.parse_expression("i·X·j·X - X·X + 1")
+        expr.expand(e)
+        expr.zero_test(e, 0.01, rng)
+        print('scipy.linalg' in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_zerotest_epsilon_out_of_range(capsys):
     code, _, err = run_main(capsys, ["zerotest", "-e", "X", "--epsilon", "2"])
     assert code == 2 and "epsilon" in err

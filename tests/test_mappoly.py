@@ -416,6 +416,34 @@ def _affine_matrices():
 AFFINE_MATRICES = _affine_matrices()
 
 
+def _lu_inputs():
+    rng = np.random.default_rng(19)
+    randoms = [(f"random {k}", rng.uniform(-1, 1, (4, 4))) for k in range(200)]
+    return list(AFFINE_MATRICES.items()) + randoms + [
+        # a pivot too small to invert: its multipliers are divided by it
+        ("subnormal", 1e-310 * AFFINE_MATRICES["random"]),
+        ("huge", 1e300 * AFFINE_MATRICES["random"]),
+    ]
+
+
+def test_lu_factor_contract():
+    import scipy.linalg
+
+    for name, matrix in _lu_inputs():
+        order, lower, upper = mp._lu(matrix)
+        assert sorted(order) == list(range(4)), name
+        assert np.array_equal(np.triu(lower), np.eye(4)), name
+        assert np.max(np.abs(lower)) <= 1.0, name
+        assert np.array_equal(np.triu(upper), upper), name
+        scale = max(np.max(np.abs(matrix)), np.finfo(float).tiny)
+        err = np.max(np.abs(lower @ upper - matrix[order]))
+        assert err <= 8 * np.finfo(float).eps * scale, name
+        # LAPACK's factors of a subnormal matrix do not reproduce it
+        if name != "subnormal" and abs(np.linalg.det(matrix / scale)) > 1e-12:
+            perm = scipy.linalg.lu(matrix)[0]
+            assert np.array_equal(order, perm.argmax(axis=0)), name
+
+
 @pytest.mark.parametrize("degree", [6, 16])
 @pytest.mark.parametrize("name", sorted(AFFINE_MATRICES))
 def test_affine_substitute_matches_pointwise(name, degree):

@@ -228,6 +228,8 @@ def test_double_determinant_examples():
     assert os_.double_determinant([I, I]) <= 1e-12
     assert os_.vandermonde_invertible([I, J, K]) is False
     assert os_.vandermonde_invertible([Quaternion(0), Quaternion(1)]) is True
+    # a power column that vanishes has no norm to divide by
+    assert os_.vandermonde_invertible([Quaternion(0), Quaternion(0)]) is False
 
 
 def test_complex_rep_is_multiplicative():
@@ -517,6 +519,19 @@ def test_vandermonde_invertible_stays_finite_for_large_systems():
     # row norms whose squares overflow still give a verdict, with no warning
     assert os_.vandermonde_invertible(np.random.default_rng(1).uniform(-1, 1, (6, 4)) * 1e40) in (
         True, False)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-100, 1e-20, 1e-3, 0.1, 10.0, 1e3, 1e20, 1e100])
+def test_vandermonde_invertible_is_scale_free(scale):
+    # scaling the nodes scales power column m by scale^m; the verdict must
+    # not move, as the node criterion's does not (the powers of four
+    # nodes stay finite at every scale here)
+    xs = np.random.default_rng(5).uniform(-1, 1, (4, 4))
+    assert os_.vandermonde_invertible(xs) is True
+    assert os_.vandermonde_invertible(xs * scale) is True
+    bad = np.array([I.components(), J.components(), K.components()])
+    assert os_.vandermonde_invertible(bad * scale) is False
 
 
 @pytest.mark.parametrize("entry", ["multieval", "nbody", "multieval of zero", "nbody, no poles"])
